@@ -65,7 +65,6 @@ class SearchConfig:
     max_s: Optional[int] = None  # default C(n+2, 3)
     budget: Optional[float] = None  # seconds; None = unlimited
     jobs: int = 1
-    seed: int = 0
 
     def effective_max_s(self) -> int:
         return self.max_s if self.max_s is not None else comb(self.n + 2, 3)
@@ -374,24 +373,3 @@ def verify_theorem(n: int, budget: Optional[float] = None, max_s: Optional[int] 
         report["status"] = "fail"
     return report
 
-
-def minimality_by_subset_definition(sys: MonomialSystem) -> bool:
-    """Direct subset-based minimality: no proper artinian subset of S fails WLP.
-
-    Exponential; used as an independent cross-check at small n only.
-    """
-    if sys.d != 3:
-        raise PreconditionError("subset minimality check is specific to cubics")
-    if not sys.artinian:
-        raise PreconditionError("system is not artinian")
-    wlp = lefschetz.fails_wlp_in_degree_dminus1(sys)
-    if not wlp.fails:
-        raise PreconditionError("system does not fail WLP")
-    cubes = [m for m in sys.generators if max(m) == 3]
-    others = [m for m in sys.generators if max(m) < 3]
-    for k in range(len(others)):
-        for subset in itertools.combinations(others, k):
-            sub = MonomialSystem.from_generators(sys.n, 3, cubes + list(subset))
-            if lefschetz.fails_wlp_in_degree_dminus1(sub).fails:
-                return False
-    return True

@@ -35,6 +35,26 @@ def _infer_n(text: str) -> int:
     return best
 
 
+def _at_least(low, convert=int):
+    """argparse type: a number >= low; anything else is a usage error (exit 2)."""
+
+    def number(text):  # argparse names the type: "invalid number value"
+        value = convert(text)
+        if not value >= low:  # also rejects nan
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+        return value
+
+    return number
+
+
+def _partition(text):
+    """argparse type: comma-separated integers, e.g. 2,1,1."""
+    try:
+        return tuple(int(p) for p in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected integers like 2,1,1, got {text!r}") from None
+
+
 def _emit(payload, as_json):
     if as_json:
         print(json.dumps(payload, indent=2, sort_keys=True, default=str))
@@ -67,8 +87,11 @@ def _stable_stats(stats):
 
 
 def cmd_check(args) -> int:
-    with open(args.file) as fh:
-        text = fh.read()
+    try:
+        with open(args.file, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {args.file}: {exc}") from None
     n = args.n if args.n is not None else _infer_n(text)
     system = parse_system(text, n, args.d)
     report = classify.check_command(system, verbose=args.verbose)
@@ -110,7 +133,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_family(args) -> int:
-    parts = tuple(int(p) for p in args.partition.split(","))
+    parts = args.partition
     n = args.n if args.n is not None else sum(parts) - 1
     spec = PartitionSpec(parts, n)
     fam = family_mod.family_system(spec)
@@ -177,22 +200,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="full report on a system from a file")
     p.add_argument("file")
-    p.add_argument("--n", type=int, default=None, help="ambient P^n (inferred if omitted)")
-    p.add_argument("--d", type=int, default=3)
+    p.add_argument("--n", type=_at_least(1), default=None, help="ambient P^n (inferred if omitted)")
+    p.add_argument("--d", type=_at_least(1), default=3)
     p.add_argument("--verbose", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("enumerate", help="search for minimal smooth systems")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-s", dest="max_s", type=int, default=None)
-    p.add_argument("--budget", type=float, default=None, help="time budget in seconds")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--n", type=_at_least(2), required=True)
+    p.add_argument("--max-s", dest="max_s", type=_at_least(0), default=None)
+    p.add_argument("--budget", type=_at_least(0, float), default=None, help="time budget in seconds")
+    p.add_argument("--jobs", type=_at_least(1), default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("family", help="construct a partition-family system")
-    p.add_argument("--partition", required=True, help="comma-separated parts, e.g. 2,1,1")
+    p.add_argument(
+        "--partition", type=_partition, required=True, help="comma-separated parts, e.g. 2,1,1"
+    )
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_family)
@@ -203,8 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("verify", help="machine-verify the classification at n")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--budget", type=float, default=None)
+    p.add_argument("--n", type=_at_least(2), required=True)
+    p.add_argument("--budget", type=_at_least(0, float), default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 
@@ -219,7 +244,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ParseError, FileNotFoundError) as exc:
+    except ParseError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_USAGE
     except TogliattiError as exc:

@@ -10,17 +10,16 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 from typing import NamedTuple, Optional
 
 from . import linalg
 from .errors import PreconditionError
-from .monomials import MonomialSystem, lattice_points_simplex
+from .monomials import MonomialSystem, _compositions, lattice_points_simplex
 
 
 # ---------------------------------------------------------------------------
-# small exact polynomial helpers (dict: exponent tuple -> int/Fraction coeff)
+# small exact polynomial helpers (dict: exponent tuple -> int coeff)
 
 def poly_mul(p, q):
     out = {}
@@ -120,15 +119,6 @@ def restricted_dependence(sys: MonomialSystem) -> bool:
             row[basis[key]] += coeff
         rows.append(row)
     return linalg.rank(rows, len(basis)) < len(sys.generators)
-
-
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 def _power_of_neg_sum(e, n):

@@ -1,23 +1,81 @@
 """Exact linear algebra over the rationals and integers.
 
-Everything here is deterministic and fraction-exact: rank and kernels via
-rational Gaussian elimination with first-nonzero pivoting, Hermite and Smith
-normal forms over Z, determinants via Bareiss.  No floating point anywhere.
+Everything here is deterministic and exact: rank, kernels and RREF come from
+one fraction-free integer Gauss-Jordan elimination (gcd-normalised rows,
+first-nonzero pivoting), Hermite and Smith normal forms are computed over Z,
+determinants via Bareiss.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, inf
+from math import gcd, inf, lcm
 
 from .errors import ContainmentError, InvalidArgumentError
 
-Matrix = list  # list of rows; entries int or Fraction
+
+def _divide_content(vec):
+    """vec divided by the gcd of its integer entries.
+
+    The gcd is positive, so every sign is kept; vec itself comes back when
+    its content is 0 or 1.  Shared by the elimination core, the hull simplex
+    and the primitive edge directions.
+    """
+    g = gcd(*vec)
+    return [x // g for x in vec] if g > 1 else vec
 
 
-def _copy(rows):
-    return [[Fraction(x) for x in row] for row in rows]
+def _combine(pv, row, f, pivot_row):
+    """The row update pv*row - f*pivot_row with its content divided out.
+
+    Clears the pivot column when f is row's entry there and pv is
+    pivot_row's; the result is row's direction scaled by pv / gcd.
+    """
+    return _divide_content([pv * a - f * b for a, b in zip(row, pivot_row)])
+
+
+def _integer_row(row):
+    """row itself when its entries are ints, else row scaled by the lcm of its denominators."""
+    if all(type(x) is int for x in row):
+        return row
+    den = lcm(*[x.denominator for x in row])
+    return [x.numerator * (den // x.denominator) for x in row]
+
+
+def _eliminate(rows, ncols=None):
+    """Integer Gauss-Jordan elimination.  Returns (rows, pivot column list).
+
+    Each row stays a nonzero multiple of the corresponding row of the
+    rational RREF: pivots are the first nonzero entry in row-major order, the
+    pivot rows come first and are zero in every other pivot column, and the
+    remaining rows are zero.  The input rows are never modified: every
+    update builds a new row.
+    """
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    m = [_integer_row(row) for row in rows]
+    nrows = len(m)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        for i in range(r, nrows):
+            if m[i][c]:
+                break
+        else:
+            continue
+        m[r], m[i] = m[i], m[r]
+        pivot_row = m[r]
+        pv = pivot_row[c]
+        for i in range(nrows):
+            f = m[i][c]
+            if f and i != r:
+                m[i] = _combine(pv, m[i], f, pivot_row)
+        pivots.append(c)
+        r += 1
+    return m, pivots
 
 
 def rref(rows, ncols=None):
@@ -26,57 +84,22 @@ def rref(rows, ncols=None):
     Pivot selection is the first nonzero entry in row-major order, so the
     result is byte-for-byte reproducible.
     """
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    m = _copy(rows)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(m)):
-            if m[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
+    m, pivots = _eliminate(rows, ncols)
+    reduced = [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)]
+    return reduced + [[Fraction(x) for x in row] for row in m[len(pivots):]], pivots
 
 
 def rank(rows, ncols=None) -> int:
-    """Exact rank over Q."""
-    if not rows:
-        return 0
-    return len(rref(rows, ncols)[1])
+    """Exact rank over Q: the pivot count of the integer elimination."""
+    return len(_eliminate(rows, ncols)[1])
 
 
 def _primitive(vec):
-    """Scale a rational vector to a primitive integer vector, positive leading entry."""
-    denom = 1
-    for x in vec:
-        denom = denom * Fraction(x).denominator // gcd(denom, Fraction(x).denominator)
-    ints = [int(Fraction(x) * denom) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g > 1:
-        ints = [x // g for x in ints]
-    for x in ints:
-        if x != 0:
-            if x < 0:
-                ints = [-y for y in ints]
-            break
-    return tuple(ints)
+    """Primitive integer vector with positive leading entry."""
+    vec = _divide_content(vec)
+    if next((x for x in vec if x), 0) < 0:
+        return tuple(-x for x in vec)
+    return tuple(vec)
 
 
 def kernel_basis(rows, ncols) -> list:
@@ -85,17 +108,19 @@ def kernel_basis(rows, ncols) -> list:
     Each vector is normalized to primitive integer entries with positive
     leading entry, so kernels are stable golden-test values.
     """
-    if not rows:
-        return [_primitive([1 if i == j else 0 for i in range(ncols)]) for j in range(ncols)]
-    m, pivots = rref(rows, ncols)
+    m, pivots = _eliminate(rows, ncols)
     pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
     basis = []
-    for fc in free_cols:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -m[r][fc]
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
+        # x_fc = lcm of the pivots, x_pc = -m[r][fc] * lcm / pivot of row r
+        scale = lcm(*[row[pc] for row, pc in zip(m, pivots) if row[fc]])
+        v = [0] * ncols
+        v[fc] = scale
+        for row, pc in zip(m, pivots):
+            if row[fc]:
+                v[pc] = -row[fc] * (scale // row[pc])
         basis.append(_primitive(v))
     return basis
 
@@ -141,9 +166,6 @@ class LatticeBasis:
     @property
     def dimension(self) -> int:
         return len(self.basis)
-
-    def pivot_columns(self):
-        return [next(j for j, x in enumerate(row) if x != 0) for row in self.basis]
 
     def coordinates(self, vec):
         """Integer coordinates of vec in this basis, or None if vec is not in the lattice."""

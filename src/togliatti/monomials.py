@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from math import comb
 
 from .errors import InvalidArgumentError, ParseError
 
@@ -268,6 +267,3 @@ class PartitionSpec:
                 return g
         raise InvalidArgumentError(f"index {i} out of range for n={self.n}")
 
-
-def simplex_point_count(n: int, d: int) -> int:
-    return comb(n + d, d)

@@ -1,7 +1,7 @@
 """Exact convex hull, lattice and smoothness machinery.
 
 All hull decisions reduce to small exact feasibility LPs solved by a phase-1
-simplex over Fractions with Bland's rule, in coordinates of the lattice M
+simplex on an integer tableau with Bland's rule, in coordinates of the lattice M
 spanned by the point configuration.  Smoothness is the vertex criterion: every
 hull vertex has exactly m edges whose primitive directions form a basis of M,
 and the first lattice point along every edge belongs to the configuration.
@@ -12,8 +12,6 @@ is merely quasi-smooth (unimodular hull, non-normal chart).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
 from typing import Optional
 
 from . import linalg
@@ -25,49 +23,54 @@ from .linalg import LatticeBasis
 # exact phase-1 simplex
 
 def _feasible(A, b):
-    """Exact feasibility of A x = b, x >= 0, over the rationals.
+    """Exact feasibility of A x = b, x >= 0, for integer A and b.
 
-    Phase-1 simplex with Bland's anti-cycling rule; A is a list of rows.
+    Phase-1 simplex with Bland's anti-cycling rule on an integer tableau; A is
+    a list of rows.  Every row update multiplies by the pivot, which is
+    positive, and divides by a positive content, so each tableau row and the
+    cost row stay positive multiples of the rational tableau's: signs, ratio
+    order and therefore every entering and leaving choice are the rational
+    simplex's.
     """
     m = len(A)
     if m == 0:
         return True
     ncols = len(A[0])
     # tableau rows: [A | rhs], rhs made non-negative, artificial basis implied
-    tab = []
-    for row, rhs in zip(A, b):
-        row = [Fraction(x) for x in row] + [Fraction(rhs)]
-        if row[-1] < 0:
-            row = [-x for x in row]
-        tab.append(row)
+    tab = [
+        list(row) + [rhs] if rhs >= 0 else [-x for x in row] + [-rhs]
+        for row, rhs in zip(A, b)
+    ]
     # objective: minimize sum of artificials == sum of rows (in terms of
     # original columns, cost row z_j - c_j = sum_i a_ij, value = sum_i b_i)
-    cost = [sum(tab[i][j] for i in range(m)) for j in range(ncols + 1)]
+    cost = [sum(col) for col in zip(*tab)]
     basis = [ncols + i for i in range(m)]  # artificial indices, cost-tracked implicitly
     while True:
         enter = next((j for j in range(ncols) if cost[j] > 0), None)
         if enter is None:
             break
-        # ratio test, Bland tie-break on row basis index
+        # ratio test rhs_i / a_i by cross-multiplying, Bland tie-break on row basis index
         leave = None
-        best = None
         for i in range(m):
-            if tab[i][enter] > 0:
-                ratio = tab[i][-1] / tab[i][enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
+            a = tab[i][enter]
+            if a > 0:
+                if leave is None:
+                    leave = i
+                    continue
+                lhs = tab[i][-1] * tab[leave][enter]
+                rhs = tab[leave][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
             # unbounded phase-1 objective cannot happen; defensive
             raise AssertionError("phase-1 simplex unbounded")
-        pv = tab[leave][enter]
-        tab[leave] = [x / pv for x in tab[leave]]
+        pivot_row = tab[leave]
+        pv = pivot_row[enter]
         for i in range(m):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
-        f = cost[enter]
-        cost = [x - f * y for x, y in zip(cost, tab[leave])]
+            f = tab[i][enter]
+            if f and i != leave:
+                tab[i] = linalg._combine(pv, tab[i], f, pivot_row)
+        cost = linalg._combine(pv, cost, cost[enter], pivot_row)
         basis[leave] = enter
     return cost[-1] == 0
 
@@ -102,13 +105,6 @@ def lattice_coordinates(points):
         assert c is not None  # every point lies in the spanned lattice
         coords[p] = c
     return base, lattice, coords
-
-
-def _primitive_direction(vec):
-    g = 0
-    for x in vec:
-        g = gcd(g, x)
-    return tuple(x // g for x in vec) if g else tuple(vec)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +165,7 @@ def hull_structure(points) -> LatticePolytopeModel:
             if p == v:
                 continue
             diff = tuple(a - b for a, b in zip(coords[p], cv))
-            by_dir.setdefault(_primitive_direction(diff), []).append(p)
+            by_dir.setdefault(tuple(linalg._divide_content(diff)), []).append(p)
         for d, ray_points in sorted(by_dir.items()):
             # d spans an edge at v iff it is an extreme ray of the cone of
             # all directions from v, i.e. not a non-negative combination of
@@ -238,7 +234,7 @@ def smoothness_check(points) -> SmoothnessCertificate:
     for v in model.vertices:
         cv = model.coords[v]
         dirs = tuple(
-            _primitive_direction(tuple(a - b for a, b in zip(model.coords[w], cv)))
+            tuple(linalg._divide_content([a - b for a, b in zip(model.coords[w], cv)]))
             for w in model.neighbors(v)
         )
         if len(dirs) != m:
@@ -281,13 +277,6 @@ def _require_cubics(points):
     if any(sum(p) != 3 for p in points):
         raise PreconditionError("points must be degree-3 monomials (d = 3)")
     return points
-
-
-def affine_lattice_contains(points, target) -> bool:
-    """Is target in the affine lattice base + M spanned by the points?"""
-    base, lattice = spanned_lattice(points)
-    diff = tuple(a - b for a, b in zip(target, base))
-    return lattice.contains(diff)
 
 
 def contains_all_simplex_vertices(points) -> bool:

@@ -10,11 +10,11 @@ from togliatti import (
     enumerate_minimal_smooth,
     verify_theorem,
 )
-from togliatti.classify import minimality_by_subset_definition
 from togliatti.family import family_system
 from togliatti.monomials import PartitionSpec, canonical_form, parse_system
 
 import conftest
+from oracles import minimality_by_subset_definition
 
 
 class TestEnumerateN2:

@@ -181,3 +181,29 @@ class TestVerify:
         )
         assert code == EXIT_INCONCLUSIVE
         assert json.loads(out)["status"] == "inconclusive"
+
+
+class TestMalformedArguments:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["family", "--partition", "a,b"],
+            ["check", "{dir}"],
+            ["check", "{latin1}"],
+            ["check", "--n", "0", "{bk}"],
+            ["verify", "--n", "1"],
+            ["verify", "--n", "2", "--budget", "nan"],
+            ["enumerate", "--n", "1"],
+            ["enumerate", "--n", "2", "--jobs", "0"],
+            ["enumerate", "--n", "2", "--budget", "-1"],
+            ["enumerate", "--n", "2", "--max-s", "-1"],
+        ],
+    )
+    def test_usage_error_exits_two(self, argv, tmp_path, bk_file, capsys):
+        latin1 = tmp_path / "latin1.txt"
+        latin1.write_bytes("S: x0^3 x1^3 x2^3 x0*x1*x2 # café\n".encode("latin-1"))
+        paths = {"{dir}": str(tmp_path), "{latin1}": str(latin1), "{bk}": bk_file}
+        code, _, err = run_cli([paths.get(a, a) for a in argv], capsys)
+        assert code == EXIT_USAGE
+        assert "Traceback" not in err
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1

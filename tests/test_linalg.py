@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from togliatti import ContainmentError
+import oracles
 from togliatti.linalg import (
     LatticeBasis,
     det_bareiss,
@@ -224,3 +225,72 @@ class TestRref:
             col = [m[i][c] for i in range(len(m))]
             assert col[r] == 1
             assert all(x == 0 for i, x in enumerate(col) if i != r)
+
+
+@st.composite
+def matrices(draw, entries):
+    """(rows, ncols), with zero rows, duplicate rows and tall shapes mixed in."""
+    ncols = draw(st.integers(0, 6))
+    rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), max_size=9))
+    if rows and draw(st.booleans()):
+        rows.append(list(draw(st.sampled_from(rows))))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * ncols)
+    return rows, ncols
+
+
+integer_matrices = matrices(st.integers(-6, 6))
+rational_matrices = matrices(
+    st.fractions(min_value=-4, max_value=4, max_denominator=6) | st.integers(-6, 6)
+)
+
+
+class TestIntegerCoreMatchesFractionOracle:
+    """The integer elimination core against the rational RREF it replaced."""
+
+    @given(st.one_of(integer_matrices, rational_matrices))
+    @settings(max_examples=400, deadline=None)
+    def test_kernel_basis(self, matrix):
+        rows, ncols = matrix
+        assert kernel_basis(rows, ncols) == oracles.fraction_kernel_basis(rows, ncols)
+
+    @given(st.one_of(integer_matrices, rational_matrices))
+    @settings(max_examples=400, deadline=None)
+    def test_rank(self, matrix):
+        rows, ncols = matrix
+        assert rank(rows, ncols) == oracles.fraction_rank(rows, ncols)
+        assert rank(rows) == oracles.fraction_rank(rows)
+
+    @given(st.one_of(integer_matrices, rational_matrices))
+    @settings(max_examples=400, deadline=None)
+    def test_rref(self, matrix):
+        rows, ncols = matrix
+        assert rref(rows, ncols) == oracles.fraction_rref(rows, ncols)
+
+    @pytest.mark.parametrize(
+        "rows, ncols",
+        [
+            ([], 0),
+            ([], 3),
+            ([[]], 0),
+            ([[0, 0, 0]], 3),
+            ([[1, 2, 3], [1, 2, 3], [2, 4, 6]], 3),
+            ([[1, 2], [3, 4], [5, 6], [7, 8], [0, 0]], 2),
+            ([[Fraction(1, 2), Fraction(-1, 3), 1], [3, -2, 6]], 3),
+        ],
+    )
+    def test_edge_shapes(self, rows, ncols):
+        assert kernel_basis(rows, ncols) == oracles.fraction_kernel_basis(rows, ncols)
+        assert rank(rows, ncols) == oracles.fraction_rank(rows, ncols)
+        assert rref(rows, ncols) == oracles.fraction_rref(rows, ncols)
+
+    def test_quadric_evaluation_matrices(self):
+        # the matrices of the n=3 search: quadric rows of random apolar sets
+        from togliatti.lefschetz import quadric_evaluation_row
+        from togliatti.monomials import lattice_points_simplex
+
+        points = lattice_points_simplex(3, 3)
+        rng = random.Random(2024)
+        for _ in range(300):
+            rows = [quadric_evaluation_row(p) for p in sorted(rng.sample(points, rng.randint(0, 20)))]
+            assert kernel_basis(rows, 10) == oracles.fraction_kernel_basis(rows, 10)

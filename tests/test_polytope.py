@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from togliatti import (
     InvalidArgumentError,
@@ -15,9 +16,11 @@ from togliatti import (
     contains_all_simplex_vertices,
 )
 from togliatti.linalg import hnf, kernel_basis, lattice_index, rank
-from togliatti.polytope import lattice_coordinates
+from togliatti import polytope
+from togliatti.polytope import _feasible, lattice_coordinates
 
 import conftest
+import oracles
 
 
 def oracle_hull(points):
@@ -230,3 +233,36 @@ class TestLatticePredicates:
 
     def test_family_spans(self, counterex3):
         assert spans_full_lattice(counterex3.apolar)
+
+
+@st.composite
+def feasibility_problems(draw):
+    """(A, b) with small integer entries; b is A x for some x >= 0 half the time."""
+    m = draw(st.integers(0, 4))
+    ncols = draw(st.integers(0, 5))
+    A = draw(st.lists(st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols),
+                      min_size=m, max_size=m))
+    if draw(st.booleans()):
+        x = draw(st.lists(st.integers(0, 3), min_size=ncols, max_size=ncols))
+        b = [sum(a * v for a, v in zip(row, x)) for row in A]
+    else:
+        b = draw(st.lists(st.integers(-5, 5), min_size=m, max_size=m))
+    return A, b
+
+
+class TestIntegerSimplexMatchesFractionOracle:
+    """The integer phase-1 simplex against the Fraction simplex it replaced."""
+
+    @given(feasibility_problems())
+    @settings(max_examples=400, deadline=None)
+    def test_feasible(self, problem):
+        A, b = problem
+        assert _feasible(A, b) == oracles.fraction_feasible(A, b)
+
+    def test_hull_structure_unchanged(self, monkeypatch, p12, p15):
+        rng = random.Random(404)
+        point_sets = [random_point_set(rng, rng.randint(2, 4), rng.randint(3, 9)) for _ in range(40)]
+        point_sets += [conftest.truncated_simplex_apolar(3), p12.apolar, p15.apolar]
+        integer = [hull_structure(pts) for pts in point_sets]
+        monkeypatch.setattr(polytope, "_feasible", oracles.fraction_feasible)
+        assert [hull_structure(pts) for pts in point_sets] == integer
