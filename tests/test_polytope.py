@@ -17,7 +17,7 @@ from togliatti import (
 )
 from togliatti.linalg import hnf, kernel_basis, lattice_index, rank
 from togliatti import polytope
-from togliatti.polytope import _feasible, lattice_coordinates
+from togliatti.polytope import lattice_coordinates
 
 import conftest
 import oracles
@@ -257,7 +257,7 @@ class TestIntegerSimplexMatchesFractionOracle:
     @settings(max_examples=400, deadline=None)
     def test_feasible(self, problem):
         A, b = problem
-        assert _feasible(A, b) == oracles.fraction_feasible(A, b)
+        assert polytope._feasible(A, b) == oracles.fraction_feasible(A, b)
 
     def test_hull_structure_unchanged(self, monkeypatch, p12, p15):
         rng = random.Random(404)
