@@ -25,7 +25,14 @@ from .errors import (
     StructureFailureError,
     TogliattiError,
 )
-from .family import equality_partitions, family_system, mu_formula, valid_partitions, witness_quadric
+from .family import (
+    equality_partitions,
+    family_system,
+    member_partition,
+    mu_formula,
+    valid_partitions,
+    witness_quadric,
+)
 from .graphs import build_gp, build_gp_complement, check_symmetry, extract_partition, typed_vertex_graph
 from .lefschetz import (
     QuadricForm,

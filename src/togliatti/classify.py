@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 from typing import Optional
 
@@ -23,7 +23,7 @@ from .errors import (
     PreconditionError,
     StructureFailureError,
 )
-from .family import family_system, valid_partitions, equality_partitions, mu_formula
+from .family import equality_partitions, member_partition, valid_partitions
 from .lefschetz import QuadricForm
 from .monomials import (
     MonomialSystem,
@@ -64,7 +64,6 @@ class SearchConfig:
     n: int
     max_s: Optional[int] = None  # default C(n+2, 3)
     budget: Optional[float] = None  # seconds; None = unlimited
-    jobs: int = 1
 
     def effective_max_s(self) -> int:
         return self.max_s if self.max_s is not None else comb(self.n + 2, 3)
@@ -73,14 +72,12 @@ class SearchConfig:
 def enumerate_minimal_smooth(config: SearchConfig) -> ClassificationResult:
     """All minimal smooth cubic systems with |S| <= max_s, one canonical rep per class.
 
-    Deterministic for any jobs setting: candidates are visited in sorted
-    subset order and classes merged in canonical-encoding order.
+    Deterministic: candidates are visited in sorted subset order and classes
+    are returned in canonical-encoding order.
     """
     n = config.n
     if n < 2:
         raise InvalidArgumentError(f"n must be >= 2, got {n}")
-    if config.jobs < 1:
-        raise InvalidArgumentError(f"jobs must be >= 1, got {config.jobs}")
     max_s = config.effective_max_s()
     start = time.monotonic()
 
@@ -104,9 +101,7 @@ def enumerate_minimal_smooth(config: SearchConfig) -> ClassificationResult:
                 raise BudgetExhaustedError(
                     f"budget of {config.budget}s exhausted after "
                     f"{stats['candidates']} candidates",
-                    partial=ClassificationResult(
-                        n, _finalize(survivors), _with_time(stats, start)
-                    ),
+                    partial=ClassificationResult(n, _finalize(survivors), stats),
                 )
             stats["candidates"] += 1
             gens = cubes + list(extras)
@@ -131,13 +126,7 @@ def enumerate_minimal_smooth(config: SearchConfig) -> ClassificationResult:
                 rejected_orbits.add(rep.encoding())
                 continue
             survivors[rep.encoding()] = _certify_class(rep, cert)
-    return ClassificationResult(n, _finalize(survivors), _with_time(stats, start))
-
-
-def _with_time(stats, start):
-    out = dict(stats)
-    out["wall_time_s"] = time.monotonic() - start
-    return out
+    return ClassificationResult(n, _finalize(survivors), stats)
 
 
 def _finalize(survivors):
@@ -161,14 +150,7 @@ def _certify_class(rep: MonomialSystem, cert) -> ClassRecord:
         laplace_delta=lefschetz.laplace_delta(rep.apolar, rep.n),
         cardinality_ok=lefschetz.cardinality_ok(rep),
     )
-    partition = None
-    try:
-        candidate = graphs.extract_partition(rep)
-        if canonical_form(family_system(candidate).sys).encoding() == rep.encoding():
-            partition = candidate
-    except (StructureFailureError, PreconditionError, InvalidArgumentError):
-        partition = None
-    return ClassRecord(rep, partition, verdict, cert)
+    return ClassRecord(rep, member_partition(rep), verdict, cert)
 
 
 # ---------------------------------------------------------------------------
@@ -295,14 +277,13 @@ def _graph_summary(sys, verbose):
         out["gp_complement_edges"] = sorted(map(list, comp.edges))
         try:
             partition = graphs.extract_partition(sys)
-            out["partition"] = list(partition.parts)
-            out["partition_matches_family"] = (
-                canonical_form(family_system(partition).sys).encoding()
-                == canonical_form(sys).encoding()
-            )
-        except StructureFailureError as exc:
+        except (StructureFailureError, InvalidArgumentError) as exc:
+            # incomplete components, or a component larger than n-1
             out["partition"] = None
             out["partition_failure"] = str(exc)
+        else:
+            out["partition"] = list(partition.parts)
+            out["partition_matches_family"] = member_partition(sys) is not None
     if verbose:
         out["gp_adjacency"] = gp.adjacency_text()
     return out
@@ -326,15 +307,13 @@ def verify_theorem(n: int, budget: Optional[float] = None, max_s: Optional[int] 
         report["failures"].append(str(exc))
         return report
 
-    found = {rec.sys.encoding(): rec for rec in result.classes}
-    expected = {}
-    for spec in valid_partitions(n):
-        fam = canonical_form(family_system(spec).sys)
-        expected[fam.encoding()] = spec
-
-    missing = [expected[k].parts for k in expected if k not in found]
+    # each class knows the family member it is, if any
+    found = {rec.partition for rec in result.classes}
+    missing = [spec.parts for spec in valid_partitions(n) if spec not in found]
     extra = [
-        [monomial_str(m) for m in k] for k in found if k not in expected
+        [monomial_str(m) for m in rec.sys.generators]
+        for rec in result.classes
+        if rec.partition is None
     ]
     if missing:
         report["failures"].append({"missing_partitions": [list(p) for p in missing]})

@@ -15,7 +15,7 @@ from math import comb
 
 from . import classify, family as family_mod
 from .errors import BudgetExhaustedError, ParseError, TogliattiError
-from .monomials import MonomialSystem, PartitionSpec, monomial_str, parse_system, serialize
+from .monomials import PartitionSpec, monomial_str, parse_system, serialize
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -81,11 +81,6 @@ def _pretty(payload, indent=0):
         print(f"{pad}{payload}")
 
 
-def _stable_stats(stats):
-    """Search counters without wall-clock timing, so reports are reproducible."""
-    return {k: v for k, v in stats.items() if k != "wall_time_s"}
-
-
 def cmd_check(args) -> int:
     try:
         with open(args.file, encoding="utf-8") as fh:
@@ -101,9 +96,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    config = classify.SearchConfig(
-        n=args.n, max_s=args.max_s, budget=args.budget, jobs=args.jobs
-    )
+    config = classify.SearchConfig(n=args.n, max_s=args.max_s, budget=args.budget)
     try:
         result = classify.enumerate_minimal_smooth(config)
     except BudgetExhaustedError as exc:
@@ -126,7 +119,7 @@ def cmd_enumerate(args) -> int:
             }
             for rec in result.classes
         ],
-        "stats": _stable_stats(result.stats),
+        "stats": result.stats,
     }
     _emit(payload, args.json)
     return EXIT_PASS
@@ -180,8 +173,6 @@ def cmd_bound(args) -> int:
 
 def cmd_verify(args) -> int:
     report = classify.verify_theorem(args.n, budget=args.budget)
-    if "stats" in report:
-        report["stats"] = _stable_stats(report["stats"])
     _emit(report, args.json)
     if report["status"] == "pass":
         return EXIT_PASS
@@ -210,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_at_least(2), required=True)
     p.add_argument("--max-s", dest="max_s", type=_at_least(0), default=None)
     p.add_argument("--budget", type=_at_least(0, float), default=None, help="time budget in seconds")
-    p.add_argument("--jobs", type=_at_least(1), default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_enumerate)
 

@@ -5,7 +5,8 @@ all cubics supported inside a single variable group plus all squarefree
 cubics meeting every group in at most one variable; the apolar set is the
 complement.  Each such system comes with an explicit witness quadric with
 coefficient pattern 2 on squares, 4 on within-group cross terms and -5 on
-cross-group terms.
+cross-group terms.  Membership of an arbitrary system in the family, up to
+relabelling the variables, is decided by one witness permutation.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb
+from typing import Optional
 
+from . import graphs
 from .errors import InvalidArgumentError
 from .lefschetz import QuadricForm
 from .monomials import MonomialSystem, PartitionSpec, lattice_points_simplex
@@ -59,6 +62,34 @@ def family_system(spec: PartitionSpec) -> FamilySystem:
         )
     beta = comb(n + 3, 3) - mu
     return FamilySystem(spec, sys, mu, beta, witness_quadric(spec))
+
+
+def member_partition(sys: MonomialSystem) -> Optional[PartitionSpec]:
+    """The partition whose family system sys is, up to relabelling the variables.
+
+    In a family system x_i^2 x_j lies in P exactly when i and j are in
+    different groups, so the components of the G_P complement are the
+    groups.  The witness permutation sends the components onto the family's
+    groups in decreasing size; any two such maps differ by a permutation
+    that preserves the groups and so fixes the family system.  Hence sys is
+    a member iff the witness carries its generators onto the family's:
+    exact, and linear in |S| after the graph.  None when sys is no member.
+    """
+    if sys.d != 3 or not graphs.check_symmetry(sys):
+        return None
+    _, components = graphs._complement_components(sys)
+    components.sort(key=len, reverse=True)
+    try:
+        spec = PartitionSpec(tuple(map(len, components)), sys.n)
+    except InvalidArgumentError:  # a component with more than n-1 variables
+        return None
+    perm = [0] * (sys.n + 1)
+    for comp, group in zip(components, spec.groups()):
+        for i, target in zip(comp, group):
+            perm[i] = target
+    if sys.permuted(perm).generators == family_system(spec).sys.generators:
+        return spec
+    return None
 
 
 def witness_quadric(spec: PartitionSpec) -> QuadricForm:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import PreconditionError, StructureFailureError
 from .monomials import MonomialSystem, PartitionSpec
@@ -49,15 +48,6 @@ class DirectedSystemGraph:
 class ComplementSystemGraph:
     n: int
     edges: frozenset  # unordered pairs as sorted tuples (i, j), i < j
-
-    def adjacency_text(self) -> str:
-        lines = []
-        for i in range(self.n + 1):
-            adj = sorted(
-                (b if a == i else a) for (a, b) in self.edges if i in (a, b)
-            )
-            lines.append(f"v{i} -- " + (" ".join(f"v{j}" for j in adj) or "-"))
-        return "\n".join(lines)
 
 
 def build_gp(sys: MonomialSystem) -> DirectedSystemGraph:
@@ -107,6 +97,29 @@ def extract_partition(sys: MonomialSystem) -> PartitionSpec:
     _require_cubic_system(sys)
     if not check_symmetry(sys):
         raise PreconditionError("directed system graph is not symmetric")
+    adj, components = _complement_components(sys)
+    for comp in components:
+        for i in comp:
+            for j in comp:
+                if i != j and j not in adj[i]:
+                    a, k, b = _incomplete_witness(adj, i, j)
+                    raise StructureFailureError(
+                        f"component {comp} is not complete: "
+                        f"({a},{k}) and ({k},{b}) are edges but ({a},{b}) is not",
+                        witness=(a, k, b),
+                    )
+    sizes = sorted((len(c) for c in components), reverse=True)
+    return PartitionSpec(tuple(sizes), sys.n)
+
+
+def _complement_components(sys: MonomialSystem):
+    """Adjacency sets and connected components of the complement graph.
+
+    Returns (adj, components): adj maps each vertex to its neighbour set,
+    and each component is a sorted vertex list, ordered by least vertex.
+    Callers check first that the directed graph is symmetric.  Shared by
+    extract_partition and family.member_partition.
+    """
     comp_graph = build_gp_complement(sys)
     n1 = sys.n + 1
     adj = {i: set() for i in range(n1)}
@@ -128,18 +141,7 @@ def extract_partition(sys: MonomialSystem) -> PartitionSpec:
                     frontier.append(w)
         seen |= comp
         components.append(sorted(comp))
-    for comp in components:
-        for i in comp:
-            for j in comp:
-                if i != j and j not in adj[i]:
-                    a, k, b = _incomplete_witness(adj, i, j)
-                    raise StructureFailureError(
-                        f"component {comp} is not complete: "
-                        f"({a},{k}) and ({k},{b}) are edges but ({a},{b}) is not",
-                        witness=(a, k, b),
-                    )
-    sizes = sorted((len(c) for c in components), reverse=True)
-    return PartitionSpec(tuple(sizes), sys.n)
+    return adj, components
 
 
 def _incomplete_witness(adj, i, j):

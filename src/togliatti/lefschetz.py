@@ -8,7 +8,6 @@ order-2 Laplace-equation count.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from math import comb
 from typing import NamedTuple, Optional
@@ -86,15 +85,12 @@ def build_multiplication_map(sys: MonomialSystem) -> MultiplicationMap:
 
 
 def fails_wlp_in_degree_dminus1(sys: MonomialSystem) -> WlpResult:
-    """WLP failure in degree d-1, witnessed by a kernel form when it fails."""
+    """WLP failure in degree d-1, witnessed by a kernel form when it fails.
+
+    The verdict is exact for every |S|; only its reading as a Laplace
+    equation needs the bound that cardinality_ok tests.
+    """
     _require_artinian(sys)
-    if not cardinality_ok(sys):
-        warnings.warn(
-            f"|S| = {len(sys.generators)} exceeds the bound "
-            f"{comb(sys.n + sys.d - 1, sys.n - 1)}; the Laplace equation "
-            "correspondence is not guaranteed",
-            stacklevel=2,
-        )
     mm = build_multiplication_map(sys)
     kernel = linalg.kernel_basis(list(mm.matrix), len(mm.source))
     if not kernel:

@@ -1,15 +1,15 @@
 """Exact linear algebra over the rationals and integers.
 
-Everything here is deterministic and exact: rank, kernels and RREF come from
-one fraction-free integer Gauss-Jordan elimination (gcd-normalised rows,
-first-nonzero pivoting), Hermite and Smith normal forms are computed over Z,
-determinants via Bareiss.  No floating point anywhere.
+Everything here is deterministic and exact: rank and kernels come from one
+fraction-free integer Gauss-Jordan elimination (gcd-normalised rows,
+first-nonzero pivoting), Hermite normal forms and lattice coordinates are
+computed over Z, determinants via Bareiss.  No floating point and no
+rational arithmetic anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, inf, lcm
 
 from .errors import ContainmentError, InvalidArgumentError
@@ -78,17 +78,6 @@ def _eliminate(rows, ncols=None):
     return m, pivots
 
 
-def rref(rows, ncols=None):
-    """Reduced row echelon form.  Returns (rref rows, pivot column list).
-
-    Pivot selection is the first nonzero entry in row-major order, so the
-    result is byte-for-byte reproducible.
-    """
-    m, pivots = _eliminate(rows, ncols)
-    reduced = [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)]
-    return reduced + [[Fraction(x) for x in row] for row in m[len(pivots):]], pivots
-
-
 def rank(rows, ncols=None) -> int:
     """Exact rank over Q: the pivot count of the integer elimination."""
     return len(_eliminate(rows, ncols)[1])
@@ -123,10 +112,6 @@ def kernel_basis(rows, ncols) -> list:
                 v[pc] = -row[fc] * (scale // row[pc])
         basis.append(_primitive(v))
     return basis
-
-
-def matvec(rows, vec):
-    return [sum(a * b for a, b in zip(row, vec)) for row in rows]
 
 
 def det_bareiss(rows) -> int:
@@ -168,24 +153,24 @@ class LatticeBasis:
         return len(self.basis)
 
     def coordinates(self, vec):
-        """Integer coordinates of vec in this basis, or None if vec is not in the lattice."""
-        coords = self.rational_coordinates(vec)
-        if coords is None or any(c.denominator != 1 for c in coords):
-            return None
-        return tuple(int(c) for c in coords)
+        """Integer coordinates of vec in this basis, or None if vec is not in the lattice.
 
-    def rational_coordinates(self, vec):
-        """Coordinates of vec in this basis over Q, or None if outside the span."""
-        residual = [Fraction(x) for x in vec]
+        The rows are echelon, so each coordinate is the residual's entry at
+        the row's pivot divided exactly by the pivot; the first pivot that
+        does not divide it, or a residual left over, means vec is outside.
+        """
+        residual = list(vec)
         coords = []
         for row in self.basis:
             pc = next(j for j, x in enumerate(row) if x != 0)
-            c = residual[pc] / row[pc]
+            c, rem = divmod(residual[pc], row[pc])
+            if rem:
+                return None
             coords.append(c)
             residual = [a - c * b for a, b in zip(residual, row)]
-        if any(x != 0 for x in residual):
+        if any(residual):
             return None
-        return coords
+        return tuple(coords)
 
     def contains(self, vec) -> bool:
         return self.coordinates(vec) is not None
@@ -252,70 +237,3 @@ def lattice_index(sub: LatticeBasis, sup: LatticeBasis):
     if sub.dimension < sup.dimension:
         return inf
     return abs(det_bareiss(coeffs))
-
-
-def smith_diagonal(rows) -> list:
-    """Invariant factors of an integer matrix (Smith normal form diagonal).
-
-    Returns min(rows, cols) non-negative integers, each dividing the next;
-    trailing zeros when the rank is deficient.
-    """
-    if not rows or not rows[0]:
-        return []
-    m = [list(map(int, row)) for row in rows]
-    nrows, ncols = len(m), len(m[0])
-    size = min(nrows, ncols)
-    diag = []
-
-    def smallest_nonzero(t):
-        best = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                if m[i][j] != 0 and (best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])):
-                    best = (i, j)
-        return best
-
-    t = 0
-    while t < size:
-        pos = smallest_nonzero(t)
-        if pos is None:
-            break
-        i, j = pos
-        m[t], m[i] = m[i], m[t]
-        for row in m:
-            row[t], row[j] = row[j], row[t]
-        # clear row and column t; restart if a remainder appears
-        dirty = False
-        for i in range(t + 1, nrows):
-            if m[i][t] != 0:
-                q = m[i][t] // m[t][t]
-                m[i] = [a - q * b for a, b in zip(m[i], m[t])]
-                if m[i][t] != 0:
-                    dirty = True
-        for j in range(t + 1, ncols):
-            if m[t][j] != 0:
-                q = m[t][j] // m[t][t]
-                for row in m:
-                    row[j] -= q * row[t]
-                if m[t][j] != 0:
-                    dirty = True
-        if dirty:
-            continue
-        # enforce divisibility: if some remaining entry is not divisible by the
-        # pivot, fold its row into row t and redo this step
-        offender = None
-        for i in range(t + 1, nrows):
-            for j in range(t + 1, ncols):
-                if m[i][j] % m[t][t] != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            m[t] = [a + b for a, b in zip(m[t], m[offender])]
-            continue
-        diag.append(abs(m[t][t]))
-        t += 1
-    while len(diag) < size:
-        diag.append(0)
-    return diag

@@ -18,10 +18,6 @@ from .errors import InvalidArgumentError, ParseError
 Exponent = tuple
 
 
-def degree(mono: Exponent) -> int:
-    return sum(mono)
-
-
 def lattice_points_simplex(n: int, d: int) -> list:
     """All C(n+d, d) exponent vectors of degree d in n+1 variables, sorted."""
     if n < 1:

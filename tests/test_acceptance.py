@@ -10,8 +10,6 @@ import random
 import time
 from math import comb
 
-import pytest
-
 from togliatti import (
     MonomialSystem,
     PartitionSpec,
@@ -42,8 +40,6 @@ from togliatti.linalg import kernel_basis
 
 import conftest
 from test_polytope import oracle_hull, random_point_set
-
-pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
 
 def criterion(num, desc):

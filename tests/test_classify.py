@@ -10,6 +10,7 @@ from togliatti import (
     enumerate_minimal_smooth,
     verify_theorem,
 )
+from togliatti import classify
 from togliatti.family import family_system
 from togliatti.monomials import PartitionSpec, canonical_form, parse_system
 
@@ -59,13 +60,6 @@ class TestEnumerateN2:
         result = enumerate_minimal_smooth(SearchConfig(n=2, max_s=4))
         assert {rec.sys.encoding() for rec in result.classes} == survivors
         assert len(survivors) == 1
-
-    def test_determinism_across_jobs(self):
-        runs = [
-            enumerate_minimal_smooth(SearchConfig(n=2, jobs=j)) for j in (1, 4)
-        ]
-        encodings = [[rec.sys.encoding() for rec in r.classes] for r in runs]
-        assert encodings[0] == encodings[1]
 
     def test_subset_definition_crosscheck(self):
         # the quadric reformulation of minimality is one-sidedly stronger
@@ -141,8 +135,6 @@ class TestEnumerateN2:
     def test_invalid_config(self):
         with pytest.raises(InvalidArgumentError):
             enumerate_minimal_smooth(SearchConfig(n=1))
-        with pytest.raises(InvalidArgumentError):
-            enumerate_minimal_smooth(SearchConfig(n=2, jobs=0))
 
     def test_budget_exhaustion(self):
         with pytest.raises(BudgetExhaustedError) as err:
@@ -219,6 +211,22 @@ class TestCheckCommand:
         assert "vertices" in report["polytope"]
         assert "gp_adjacency" in report["graphs"]
 
+    def test_n7_member_matches_family_without_orbit_scan(self, monkeypatch):
+        # membership is decided by one witness permutation: an S_8 orbit
+        # scan (canonical_form) must not be reached from check
+        def orbit_scan(sys):
+            raise AssertionError("canonical_form called by check")
+
+        monkeypatch.setattr(classify, "canonical_form", orbit_scan)
+        spec = PartitionSpec((6, 1, 1), 7)
+        perm = list(range(8))
+        conftest.seeded_rng(7).shuffle(perm)
+        sys = family_system(spec).sys.permuted(perm)
+        report = check_command(sys)
+        assert report["graphs"]["partition"] == [6, 1, 1]
+        assert report["graphs"]["partition_matches_family"] is True
+        assert report["togliatti"] and report["minimal"] and report["smooth"]
+
 
 class TestVerifyTheorem:
     def test_n2(self):
@@ -230,6 +238,16 @@ class TestVerifyTheorem:
     def test_budget_inconclusive(self):
         report = verify_theorem(3, budget=0.0)
         assert report["status"] == "inconclusive"
+
+    def test_class_outside_family_fails(self, monkeypatch):
+        # a class that is no family member is unexpected, and its partition
+        # is then missing
+        monkeypatch.setattr(classify, "member_partition", lambda sys: None)
+        report = verify_theorem(2)
+        assert report["status"] == "fail"
+        failures = [f for f in report["failures"] if isinstance(f, dict)]
+        assert {"missing_partitions": [[1, 1, 1]]} in failures
+        assert {"unexpected_classes": [["x2^3", "x1^3", "x0*x1*x2", "x0^3"]]} in failures
 
     def test_mutated_search_fails(self):
         # restrict the search below the classification sizes: classes go

@@ -65,6 +65,17 @@ class TestCheck:
         assert code == EXIT_FAIL
         assert json.loads(out)["smooth"] is False
 
+    def test_partition_failure_is_reported_not_raised(self, tmp_path, capsys):
+        # the G_P complement of P = {x0*x1*x2} is one component of size 3 > n-1
+        path = tmp_path / "one_point.txt"
+        path.write_text("P: x0*x1*x2\n")
+        code, out, err = run_cli(["check", str(path), "--json"], capsys)
+        assert code == EXIT_FAIL
+        assert not [line for line in err.splitlines() if "error:" in line]
+        graphs = json.loads(out)["graphs"]
+        assert graphs["partition"] is None
+        assert graphs["partition_failure"] == "largest part 3 exceeds n-1 = 1"
+
     def test_n_inferred_from_variables(self, tmp_path, capsys):
         path = tmp_path / "c3.txt"
         path.write_text(conftest.COUNTEREX3_TEXT + "\n")
@@ -126,12 +137,12 @@ class TestEnumerate:
 
     def test_json_output_stable(self, capsys):
         outputs = []
-        for jobs in ("1", "4"):
-            _, out, _ = run_cli(
-                ["enumerate", "--n", "2", "--jobs", jobs, "--json"], capsys
-            )
+        for _ in range(2):
+            code, out, _ = run_cli(["enumerate", "--n", "2", "--json"], capsys)
+            assert code == EXIT_PASS
             outputs.append(out)
         assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["class_count"] == 1
 
 
 class TestFamily:

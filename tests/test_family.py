@@ -1,15 +1,20 @@
-"""The partition-indexed family: construction, counts, witness quadric, bound."""
+"""The partition-indexed family: construction, counts, witness quadric, bound,
+and membership by one witness permutation."""
 
+import itertools
 from math import comb
 
 import pytest
 
 from togliatti import (
     InvalidArgumentError,
+    MonomialSystem,
     equality_partitions,
     family_system,
     fails_wlp_in_degree_dminus1,
     is_minimal_togliatti,
+    lattice_points_simplex,
+    member_partition,
     mu_formula,
     quadric_space,
     smoothness_check,
@@ -17,6 +22,9 @@ from togliatti import (
 )
 from togliatti.graphs import extract_partition
 from togliatti.monomials import PartitionSpec
+
+import conftest
+from oracles import member_partition_by_canonical_form
 
 
 class TestMuFormula:
@@ -146,3 +154,84 @@ class TestFamilyVerdicts:
                 assert is_minimal_togliatti(fam.sys).minimal
                 assert smoothness_check(fam.sys.apolar).smooth
                 assert extract_partition(fam.sys) == spec
+
+
+def permuted_members(rng, n, count):
+    """(spec, member) pairs: each family system under `count` seeded permutations."""
+    for spec in valid_partitions(n):
+        for _ in range(count):
+            perm = list(range(n + 1))
+            rng.shuffle(perm)
+            yield spec, family_system(spec).sys.permuted(perm)
+
+
+def perturbations(rng, sys, count):
+    """One-point perturbations: a point moved from P into S, or from S into P."""
+    for _ in range(count):
+        yield MonomialSystem.from_generators(sys.n, 3, sys.generators + (rng.choice(sys.apolar),))
+        dropped = rng.choice(sys.generators)
+        yield MonomialSystem.from_generators(
+            sys.n, 3, [m for m in sys.generators if m != dropped]
+        )
+
+
+class TestMemberPartitionMatchesCanonicalFormOracle:
+    """The witness permutation against the canonical-form comparison it replaced."""
+
+    def test_permuted_members(self):
+        rng = conftest.seeded_rng(61)
+        for n, count in ((2, 4), (3, 4), (4, 3), (5, 2)):
+            for spec, sys in permuted_members(rng, n, count):
+                assert member_partition(sys) == spec
+                assert member_partition_by_canonical_form(sys) == spec
+
+    def test_one_point_perturbations(self):
+        rng = conftest.seeded_rng(62)
+        checked = 0
+        for n in range(2, 6):
+            for _, member in permuted_members(rng, n, 1):
+                for sys in perturbations(rng, member, 2):
+                    assert member_partition(sys) == member_partition_by_canonical_form(sys)
+                    checked += 1
+        assert checked == 4 * (1 + 3 + 5 + 9)
+
+    def test_every_artinian_system_n2(self):
+        points = lattice_points_simplex(2, 3)
+        cubes = [m for m in points if max(m) == 3]
+        pool = [m for m in points if max(m) < 3]
+        found = []
+        for k in range(len(pool) + 1):
+            for extras in itertools.combinations(pool, k):
+                sys = MonomialSystem.from_generators(2, 3, cubes + list(extras))
+                spec = member_partition(sys)
+                assert spec == member_partition_by_canonical_form(sys)
+                if spec is not None:
+                    found.append(sys)
+        brenner_kaid = family_system(PartitionSpec((1, 1, 1), 2)).sys
+        assert [sys.generators for sys in found] == [brenner_kaid.generators]
+
+    def test_n3_up_to_five_extras(self):
+        points = lattice_points_simplex(3, 3)
+        cubes = [m for m in points if max(m) == 3]
+        pool = [m for m in points if max(m) < 3]
+        members = {}
+        checked = 0
+        for k in range(6):
+            for extras in itertools.combinations(pool, k):
+                sys = MonomialSystem.from_generators(3, 3, cubes + list(extras))
+                spec = member_partition(sys)
+                assert spec == member_partition_by_canonical_form(sys)
+                checked += 1
+                if spec is not None:
+                    members[spec.parts] = members.get(spec.parts, 0) + 1
+        assert checked == sum(comb(16, k) for k in range(6))
+        # the orbit sizes of the three n=3 family members: 4!/|stabiliser|
+        assert members == {(2, 2): 3, (2, 1, 1): 6, (1, 1, 1, 1): 1}
+
+    def test_non_cubic_and_asymmetric_systems_are_not_members(self):
+        sys = MonomialSystem.from_generators(2, 2, [(2, 0, 0), (0, 2, 0), (0, 0, 2)])
+        assert member_partition(sys) is None
+        # x0^2*x1 in P but x1^2*x0 not: G_P is not symmetric
+        asym = MonomialSystem.from_apolar(2, 3, [(2, 1, 0), (1, 1, 1)])
+        assert member_partition(asym) is None
+        assert member_partition_by_canonical_form(asym) is None

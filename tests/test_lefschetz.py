@@ -11,6 +11,7 @@ from togliatti import (
     PreconditionError,
     QuadricForm,
     build_multiplication_map,
+    check_command,
     fails_wlp_in_degree_dminus1,
     is_minimal_togliatti,
     laplace_delta,
@@ -22,10 +23,6 @@ from togliatti.lefschetz import witness_product_in_ideal, poly_mul
 from togliatti.linalg import rank
 
 import conftest
-
-# random systems routinely exceed the cardinality bound; the warning is tested
-# explicitly in TestWlp.test_cardinality_warning
-pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
 
 class TestMultiplicationMap:
@@ -84,12 +81,19 @@ class TestWlp:
         sys = MonomialSystem.from_generators(2, 3, [(3, 0, 0), (0, 3, 0), (0, 0, 3)])
         assert not fails_wlp_in_degree_dminus1(sys).fails
 
-    def test_cardinality_warning(self):
-        points = lattice_points_simplex(2, 3)
-        sys = MonomialSystem.from_generators(2, 3, points[:8])
-        if sys.artinian:
-            with pytest.warns(UserWarning, match="bound"):
-                fails_wlp_in_degree_dminus1(sys)
+    def test_over_cardinality_bound_is_reported(self):
+        # Brenner-Kaid plus x0^2*x1: artinian, |S| = 5 over the n=2 bound 4,
+        # and still failing WLP, since S only grew in degree 3.  The bound is
+        # a report field, not a warning (pytest turns UserWarning into an error).
+        sys = MonomialSystem.from_generators(
+            2, 3, [(3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1), (2, 1, 0)]
+        )
+        assert sys.artinian
+        assert fails_wlp_in_degree_dminus1(sys).fails
+        report = check_command(sys)
+        assert report["cardinality_ok"] is False
+        assert report["fails_wlp"] is True
+        assert report["togliatti"] is False
 
 
 class TestRestrictedDependence:

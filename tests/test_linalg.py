@@ -1,4 +1,8 @@
-"""Exact linear algebra: rank, kernels, HNF, lattice indices, Smith form."""
+"""Exact linear algebra: rank, kernels, HNF, lattice coordinates and indices.
+
+The Smith form, RREF and matrix-vector product are test oracles
+(tests/oracles.py); their own checks stay here.
+"""
 
 import itertools
 import random
@@ -10,16 +14,14 @@ from hypothesis import given, settings, strategies as st
 
 from togliatti import ContainmentError
 import oracles
+from oracles import matvec, rref, smith_diagonal
 from togliatti.linalg import (
     LatticeBasis,
     det_bareiss,
     hnf,
     kernel_basis,
     lattice_index,
-    matvec,
     rank,
-    rref,
-    smith_diagonal,
 )
 
 small_int = st.integers(-9, 9)
@@ -137,6 +139,64 @@ class TestHnf:
         assert lat.contains((4, 2))
         assert not lat.contains((1, 0))
         assert lat.coordinates((4, 2)) == (2, 1)
+
+
+@st.composite
+def lattice_and_vector(draw):
+    """(HNF lattice, vector): the vector lies in the lattice, in its span
+    only, or anywhere (mostly outside the span when the rank is deficient).
+
+    The lattice is spanned by k*g over generators g, so integer
+    combinations of the g lie in the span but in the lattice only when k
+    divides enough.
+    """
+    ambient = draw(st.integers(1, 5))
+    vec = st.lists(small_int, min_size=ambient, max_size=ambient)
+    gens = draw(st.lists(vec, max_size=ambient + 1))
+    k = draw(st.integers(1, 3))
+    lat = hnf([[k * x for x in g] for g in gens], ambient)
+    kind = draw(st.sampled_from(["lattice", "span", "any"]))
+    if kind == "any":
+        return lat, tuple(draw(vec))
+    rows = lat.basis if kind == "lattice" else gens
+    coeffs = draw(st.lists(st.integers(-4, 4), min_size=len(rows), max_size=len(rows)))
+    out = [0] * ambient
+    for c, row in zip(coeffs, rows):
+        out = [a + c * b for a, b in zip(out, row)]
+    return lat, tuple(out)
+
+
+class TestCoordinatesMatchFractionOracle:
+    """Integer back-substitution against the Fraction coordinates it replaced."""
+
+    @given(lattice_and_vector())
+    @settings(max_examples=500, deadline=None)
+    def test_random_hnf_lattices(self, case):
+        lat, vec = case
+        coords = lat.coordinates(vec)
+        assert coords == oracles.fraction_coordinates(lat, vec)
+        assert lat.contains(vec) == (coords is not None)
+        if coords is not None:
+            assert all(type(c) is int for c in coords)
+            back = [0] * lat.ambient
+            for c, row in zip(coords, lat.basis):
+                back = [a + c * b for a, b in zip(back, row)]
+            assert tuple(back) == vec
+
+    @pytest.mark.parametrize(
+        "vec, in_span, expected",
+        [
+            ((4, 3, 0), True, (2, 3)),  # in the lattice 2Z x Z x 0
+            ((1, 0, 0), True, None),  # in the span only: coordinate 1/2
+            ((3, 5, 0), True, None),  # the first pivot does not divide
+            ((0, 0, 1), False, None),  # outside the span
+            ((2, 1, 1), False, None),  # lattice part plus a residual
+        ],
+    )
+    def test_categories(self, vec, in_span, expected):
+        lat = hnf([(2, 0, 0), (0, 1, 0)], 3)
+        assert (oracles.rational_coordinates(lat, vec) is not None) == in_span
+        assert lat.coordinates(vec) == expected == oracles.fraction_coordinates(lat, vec)
 
 
 class TestLatticeIndex:

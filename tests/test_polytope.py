@@ -94,7 +94,7 @@ class TestSpannedLattice:
         assert lat.dimension == 2
         full = hnf([(1, -1, 0), (0, 1, -1)], 3)
         assert lattice_index(lat, full) == 9  # Smith form [3, 3]
-        from togliatti.linalg import smith_diagonal
+        from oracles import smith_diagonal
 
         coeffs = [full.coordinates(v) for v in lat.basis]
         assert smith_diagonal([list(c) for c in coeffs]) == [3, 3]
