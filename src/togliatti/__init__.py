@@ -10,14 +10,12 @@ minimal smooth classes at small n and verifies the classification theorem.
 from .classify import (
     ClassificationResult,
     SearchConfig,
-    TogliattiVerdict,
     check_command,
     enumerate_minimal_smooth,
     verify_theorem,
 )
 from .errors import (
     BudgetExhaustedError,
-    ContainmentError,
     InternalError,
     InvalidArgumentError,
     ParseError,
@@ -33,7 +31,7 @@ from .family import (
     valid_partitions,
     witness_quadric,
 )
-from .graphs import build_gp, build_gp_complement, check_symmetry, extract_partition, typed_vertex_graph
+from .graphs import build_gp, extract_partition
 from .lefschetz import (
     QuadricForm,
     build_multiplication_map,

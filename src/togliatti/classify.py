@@ -24,7 +24,6 @@ from .errors import (
     StructureFailureError,
 )
 from .family import equality_partitions, member_partition, valid_partitions
-from .lefschetz import QuadricForm
 from .monomials import (
     MonomialSystem,
     PartitionSpec,
@@ -35,20 +34,10 @@ from .monomials import (
 
 
 @dataclass(frozen=True)
-class TogliattiVerdict:
-    fails_wlp: bool
-    quadric_space_dim: int
-    minimal: Optional[bool]
-    witness_quadric: Optional[QuadricForm]
-    laplace_delta: Optional[int]
-    cardinality_ok: bool
-
-
-@dataclass(frozen=True)
 class ClassRecord:
     sys: MonomialSystem  # canonical representative
     partition: Optional[PartitionSpec]
-    verdict: TogliattiVerdict
+    laplace_delta: int
     smoothness: polytope.SmoothnessCertificate
 
 
@@ -142,15 +131,8 @@ def _certify_class(rep: MonomialSystem, cert) -> ClassRecord:
             "search filters and direct verdicts disagree for "
             + " ".join(map(monomial_str, rep.generators))
         )
-    verdict = TogliattiVerdict(
-        fails_wlp=True,
-        quadric_space_dim=1,
-        minimal=True,
-        witness_quadric=minimality.quadric,
-        laplace_delta=lefschetz.laplace_delta(rep.apolar, rep.n),
-        cardinality_ok=lefschetz.cardinality_ok(rep),
-    )
-    return ClassRecord(rep, member_partition(rep), verdict, cert)
+    delta = lefschetz.laplace_delta(rep.apolar, rep.n)
+    return ClassRecord(rep, member_partition(rep), delta, cert)
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +255,8 @@ def _graph_summary(sys, verbose):
         "gp_symmetric": symmetric,
     }
     if symmetric:
-        comp = graphs.build_gp_complement(sys)
-        out["gp_complement_edges"] = sorted(map(list, comp.edges))
+        adj = gp.complement_neighbours()
+        out["gp_complement_edges"] = [[i, j] for i in sorted(adj) for j in sorted(adj[i]) if i < j]
         try:
             partition = graphs.extract_partition(sys)
         except (StructureFailureError, InvalidArgumentError) as exc:
@@ -292,7 +274,7 @@ def _graph_summary(sys, verbose):
 # ---------------------------------------------------------------------------
 # theorem verification
 
-def verify_theorem(n: int, budget: Optional[float] = None, max_s: Optional[int] = None) -> dict:
+def verify_theorem(n: int, budget: Optional[float] = None) -> dict:
     """Machine verification of the classification at a given n.
 
     Checks that the enumerated classes coincide with the partition family,
@@ -301,7 +283,7 @@ def verify_theorem(n: int, budget: Optional[float] = None, max_s: Optional[int] 
     """
     report = {"schema_version": 1, "n": n, "status": "pass", "failures": []}
     try:
-        result = enumerate_minimal_smooth(SearchConfig(n=n, budget=budget, max_s=max_s))
+        result = enumerate_minimal_smooth(SearchConfig(n=n, budget=budget))
     except BudgetExhaustedError as exc:
         report["status"] = "inconclusive"
         report["failures"].append(str(exc))

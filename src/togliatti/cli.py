@@ -115,7 +115,7 @@ def cmd_enumerate(args) -> int:
                 "size": len(rec.sys.generators),
                 "partition": list(rec.partition.parts) if rec.partition else None,
                 "smooth": rec.smoothness.smooth,
-                "laplace_delta": rec.verdict.laplace_delta,
+                "laplace_delta": rec.laplace_delta,
             }
             for rec in result.classes
         ],

@@ -23,10 +23,6 @@ class PreconditionError(TogliattiError):
     """An operation was called on a system outside its domain."""
 
 
-class ContainmentError(TogliattiError):
-    """A lattice is not contained in the lattice it was compared against."""
-
-
 class StructureFailureError(TogliattiError):
     """A structural hypothesis failed; carries a concrete witness."""
 

@@ -75,10 +75,12 @@ def member_partition(sys: MonomialSystem) -> Optional[PartitionSpec]:
     a member iff the witness carries its generators onto the family's:
     exact, and linear in |S| after the graph.  None when sys is no member.
     """
-    if sys.d != 3 or not graphs.check_symmetry(sys):
+    if sys.d != 3:
         return None
-    _, components = graphs._complement_components(sys)
-    components.sort(key=len, reverse=True)
+    gp = graphs.build_gp(sys)
+    if not gp.is_symmetric():
+        return None
+    components = sorted(gp.complement_components(), key=len, reverse=True)
     try:
         spec = PartitionSpec(tuple(map(len, components)), sys.n)
     except InvalidArgumentError:  # a component with more than n-1 variables

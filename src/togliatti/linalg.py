@@ -1,26 +1,26 @@
-"""Exact linear algebra over the rationals and integers.
+"""Exact linear algebra over the integers.
 
-Everything here is deterministic and exact: rank and kernels come from one
-fraction-free integer Gauss-Jordan elimination (gcd-normalised rows,
-first-nonzero pivoting), Hermite normal forms and lattice coordinates are
-computed over Z, determinants via Bareiss.  No floating point and no
-rational arithmetic anywhere.
+Everything here is deterministic and exact: rank and kernels (over Q) of
+integer matrices come from one fraction-free Gauss-Jordan elimination
+(gcd-normalised rows, first-nonzero pivoting), Hermite normal forms and
+lattice coordinates are computed over Z, determinants via Bareiss.  No
+floating point and no rational arithmetic anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, inf, lcm
+from math import gcd, lcm
 
-from .errors import ContainmentError, InvalidArgumentError
+from .errors import InvalidArgumentError
 
 
 def _divide_content(vec):
     """vec divided by the gcd of its integer entries.
 
     The gcd is positive, so every sign is kept; vec itself comes back when
-    its content is 0 or 1.  Shared by the elimination core, the hull simplex
-    and the primitive edge directions.
+    its content is 0 or 1.  Shared by the elimination core, the kernel
+    normal form and the hull simplex.
     """
     g = gcd(*vec)
     return [x // g for x in vec] if g > 1 else vec
@@ -35,14 +35,6 @@ def _combine(pv, row, f, pivot_row):
     return _divide_content([pv * a - f * b for a, b in zip(row, pivot_row)])
 
 
-def _integer_row(row):
-    """row itself when its entries are ints, else row scaled by the lcm of its denominators."""
-    if all(type(x) is int for x in row):
-        return row
-    den = lcm(*[x.denominator for x in row])
-    return [x.numerator * (den // x.denominator) for x in row]
-
-
 def _eliminate(rows, ncols=None):
     """Integer Gauss-Jordan elimination.  Returns (rows, pivot column list).
 
@@ -54,7 +46,7 @@ def _eliminate(rows, ncols=None):
     """
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
-    m = [_integer_row(row) for row in rows]
+    m = list(rows)
     nrows = len(m)
     pivots = []
     r = 0
@@ -220,20 +212,3 @@ def hnf(vectors, ambient=None) -> LatticeBasis:
     rows = rows[:r]
     return LatticeBasis(ambient, tuple(tuple(row) for row in rows))
 
-
-def lattice_index(sub: LatticeBasis, sup: LatticeBasis):
-    """Index [sup : sub] as an integer, or inf when rank(sub) < rank(sup).
-
-    Raises ContainmentError unless every basis vector of sub lies in sup.
-    """
-    if sub.ambient != sup.ambient:
-        raise InvalidArgumentError("lattices live in different ambient spaces")
-    coeffs = []
-    for v in sub.basis:
-        coords = sup.coordinates(v)
-        if coords is None:
-            raise ContainmentError(f"{v} is not in the super-lattice")
-        coeffs.append(coords)
-    if sub.dimension < sup.dimension:
-        return inf
-    return abs(det_bareiss(coeffs))

@@ -1,10 +1,11 @@
 """Exact convex hull, lattice and smoothness machinery.
 
-All hull decisions reduce to small exact feasibility LPs solved by a phase-1
-simplex on an integer tableau with Bland's rule, in coordinates of the lattice M
-spanned by the point configuration.  Smoothness is the vertex criterion: every
-hull vertex has exactly m edges whose primitive directions form a basis of M,
-and the first lattice point along every edge belongs to the configuration.
+The hull is found by a walk over its edge graph, in coordinates of the lattice
+M spanned by the point configuration; each edge is decided by one small exact
+feasibility LP, solved by a phase-1 simplex on an integer tableau with Bland's
+rule.  Smoothness is the vertex criterion: every hull vertex has exactly m
+edges whose primitive directions form a basis of M, and the first lattice
+point along every edge belongs to the configuration.
 The last condition makes the vertex semigroups free; without it the variety
 is merely quasi-smooth (unimodular hull, non-normal chart).
 """
@@ -12,6 +13,7 @@ is merely quasi-smooth (unimodular hull, non-normal chart).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Optional
 
 from . import linalg
@@ -118,78 +120,55 @@ class LatticePolytopeModel:
     coords: dict  # point -> tuple in Z^m
     vertices: tuple
     edges: tuple  # sorted pairs of vertices
+    directions: dict  # vertex -> primitive edge directions, by sorted neighbour
 
     @property
     def dim(self) -> int:
         return self.lattice.dimension
 
-    def neighbors(self, v):
-        out = []
-        for a, b in self.edges:
-            if a == v:
-                out.append(b)
-            elif b == v:
-                out.append(a)
-        return sorted(out)
-
-
-def _is_vertex(v, others, coords):
-    """v is a vertex iff it is not a convex combination of the other points."""
-    if not others:
-        return True
-    cv = coords[v]
-    m = len(cv)
-    A = [[coords[p][i] - cv[i] for p in others] for i in range(m)]
-    A.append([1] * len(others))
-    b = [0] * m + [1]
-    return not _feasible(A, b)
-
 
 def hull_structure(points) -> LatticePolytopeModel:
-    """Vertices and edges of conv(points), decided by exact rational feasibility."""
+    """Vertices and edges of conv(points) by a walk over the edge graph.
+
+    The lex-smallest point is a vertex, and the edge graph of a polytope is
+    connected, so every vertex is reached from it along edges.  At a vertex
+    v the other points are grouped by primitive direction from v; a
+    direction spans an edge iff it is an extreme ray of the cone they
+    generate, i.e. not a non-negative combination of the other directions
+    (one exact feasibility LP), and the farthest point along it is the
+    neighbour across that edge.
+    """
     points = tuple(sorted(set(map(tuple, points))))
-    if len(points) < 2:
-        raise InvalidArgumentError("need at least 2 points")
     base, lattice, coords = lattice_coordinates(points)
     m = lattice.dimension
-    vertices = tuple(
-        v for v in points if _is_vertex(v, [p for p in points if p != v], coords)
-    )
+    directions = {}
     edges = set()
-    vertex_set = set(vertices)
-    for v in vertices:
+    stack = [points[0]]
+    while stack:
+        v = stack.pop()
+        if v in directions:
+            continue
         cv = coords[v]
-        # group the other points by primitive direction from v
-        by_dir = {}
+        farthest = {}  # primitive direction from v -> (multiple, point)
         for p in points:
-            if p == v:
+            if p != v:
+                diff = [a - b for a, b in zip(coords[p], cv)]
+                k = gcd(*diff)
+                d = tuple(x // k for x in diff)
+                if d not in farthest or k > farthest[d][0]:
+                    farthest[d] = (k, p)
+        neighbours = []
+        for d, (_, w) in farthest.items():
+            others = [g for g in farthest if g != d]
+            if others and _feasible([[g[i] for g in others] for i in range(m)], list(d)):
                 continue
-            diff = tuple(a - b for a, b in zip(coords[p], cv))
-            by_dir.setdefault(tuple(linalg._divide_content(diff)), []).append(p)
-        for d, ray_points in sorted(by_dir.items()):
-            # d spans an edge at v iff it is an extreme ray of the cone of
-            # all directions from v, i.e. not a non-negative combination of
-            # the generators pointing elsewhere
-            gens = []
-            for d2, pts in by_dir.items():
-                if d2 != d:
-                    gens.extend(
-                        tuple(a - b for a, b in zip(coords[p], cv)) for p in pts
-                    )
-            if gens:
-                A = [[g[i] for g in gens] for i in range(m)]
-                if _feasible(A, list(d)):
-                    continue
-            # farthest point along the ray is the other endpoint
-            endpoint = max(
-                ray_points,
-                key=lambda p: sum(
-                    abs(a - b) for a, b in zip(coords[p], cv)
-                ),
-            )
-            assert endpoint in vertex_set
-            edges.add(tuple(sorted((v, endpoint))))
-    return LatticePolytopeModel(points, base, lattice, coords, vertices, tuple(sorted(edges)))
+            neighbours.append((w, d))
+            edges.add((min(v, w), max(v, w)))
+            stack.append(w)
+        directions[v] = tuple(d for _, d in sorted(neighbours))
+    return LatticePolytopeModel(
+        points, base, lattice, coords, tuple(sorted(directions)), tuple(sorted(edges)), directions
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -216,27 +195,15 @@ def smoothness_check(points) -> SmoothnessCertificate:
     """Vertex-by-vertex check, in the lattice spanned by the points, that every
     vertex is simple, its primitive edge directions are unimodular, and each
     edge's first lattice point is itself one of the points (free semigroup)."""
-    points = tuple(sorted(set(map(tuple, points))))
-    if not points:
-        raise InvalidArgumentError("empty point set")
-    if len(points) == 1:
-        base, lattice, coords = lattice_coordinates(points)
-        model = LatticePolytopeModel(points, base, lattice, coords, points, ())
-        record = VertexRecord(points[0], 0, (), 1)
-        return SmoothnessCertificate(True, 0, (record,), None, model)
     model = hull_structure(points)
-    point_set = set(points)
+    point_set = set(model.points)
     basis = model.lattice.basis
     m = model.dim
     records = []
     failure = None
     smooth = True
     for v in model.vertices:
-        cv = model.coords[v]
-        dirs = tuple(
-            tuple(linalg._divide_content([a - b for a, b in zip(model.coords[w], cv)]))
-            for w in model.neighbors(v)
-        )
+        dirs = model.directions[v]
         if len(dirs) != m:
             records.append(VertexRecord(v, len(dirs), dirs, None))
             if smooth:
@@ -307,7 +274,4 @@ def spans_full_lattice(points) -> bool:
     points = _require_cubics(points)
     n1 = len(points[0])
     _, lattice = spanned_lattice(points)
-    full = degree_lattice(n1)
-    if lattice.dimension < full.dimension:
-        return False
-    return linalg.lattice_index(lattice, full) == 1
+    return lattice == degree_lattice(n1)  # HNF bases are unique

@@ -5,9 +5,9 @@
   replaced, kept verbatim in their arithmetic so the tests can require the
   production code to return identical results; likewise the Fraction
   lattice coordinates that ``LatticeBasis.coordinates`` replaced.
-- The RREF read off the integer core, matrix-vector products and the Smith
-  normal form: tools the tests check the production code with, which no
-  verdict needs.
+- The RREF read off the integer core, matrix-vector products, the Smith
+  normal form and lattice indices: tools the tests check the production
+  code with, which no verdict needs.
 - Minimality straight from the subset definition, an exponential
   cross-check of the quadric criterion at small n.
 - Family membership by comparing canonical forms, the two S_{n+1} orbit
@@ -17,7 +17,7 @@
 import functools
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf
 
 from togliatti import lefschetz, linalg
 from togliatti.errors import PreconditionError
@@ -268,6 +268,24 @@ def smith_diagonal(rows) -> list:
     while len(diag) < size:
         diag.append(0)
     return diag
+
+
+def lattice_index(sub, sup):
+    """ORACLE: index [sup : sub] as an integer, or inf when rank(sub) < rank(sup).
+
+    Raises ValueError unless every basis vector of sub lies in sup.
+    """
+    if sub.ambient != sup.ambient:
+        raise ValueError("lattices live in different ambient spaces")
+    coeffs = []
+    for v in sub.basis:
+        coords = sup.coordinates(v)
+        if coords is None:
+            raise ValueError(f"{v} is not in the super-lattice")
+        coeffs.append(coords)
+    if sub.dimension < sup.dimension:
+        return inf
+    return abs(linalg.det_bareiss(coeffs))
 
 
 @functools.lru_cache(maxsize=None)

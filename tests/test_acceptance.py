@@ -16,8 +16,8 @@ from togliatti import (
     SearchConfig,
     build_multiplication_map,
     canonical_form,
+    build_gp,
     check_command,
-    check_symmetry,
     contains_all_simplex_vertices,
     enumerate_minimal_smooth,
     equality_partitions,
@@ -209,6 +209,6 @@ def test_criterion_9_structural_properties():
         result = enumerate_minimal_smooth(SearchConfig(n=n))
         assert result.classes
         for rec in result.classes:
-            assert check_symmetry(rec.sys)
+            assert build_gp(rec.sys).is_symmetric()
             assert contains_all_simplex_vertices(rec.sys.apolar)
             assert spans_full_lattice(rec.sys.apolar)

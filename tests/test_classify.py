@@ -144,18 +144,14 @@ class TestEnumerateN2:
 
 class TestStructuralInvariants:
     def test_enumerated_classes_satisfy_propositions(self):
-        from togliatti import (
-            check_symmetry,
-            contains_all_simplex_vertices,
-            spans_full_lattice,
-        )
+        from togliatti import contains_all_simplex_vertices, spans_full_lattice
         from togliatti.graphs import build_gp
 
         for n in (2, 3):
             result = enumerate_minimal_smooth(SearchConfig(n=n))
             assert result.classes
             for rec in result.classes:
-                assert check_symmetry(rec.sys)
+                assert build_gp(rec.sys).is_symmetric()
                 assert contains_all_simplex_vertices(rec.sys.apolar)
                 assert spans_full_lattice(rec.sys.apolar)
                 # no-return filter: v_i -> v_j with v_j -> v_k -> v_j
@@ -249,10 +245,11 @@ class TestVerifyTheorem:
         assert {"missing_partitions": [[1, 1, 1]]} in failures
         assert {"unexpected_classes": [["x2^3", "x1^3", "x0*x1*x2", "x0^3"]]} in failures
 
-    def test_mutated_search_fails(self):
+    def test_mutated_search_fails(self, monkeypatch):
         # restrict the search below the classification sizes: classes go
         # missing and the report must say fail, not pass
-        report = verify_theorem(2, max_s=3)
+        monkeypatch.setattr(SearchConfig, "effective_max_s", lambda self: 3)
+        report = verify_theorem(2)
         assert report["status"] == "fail"
         assert any("missing_partitions" in f for f in report["failures"]
                    if isinstance(f, dict))

@@ -1,9 +1,12 @@
-"""Static checks on the package source: no rational arithmetic, no dead imports.
+"""Static checks on the package source: no rational arithmetic, no dead code.
 
 Every verdict is computed in integer arithmetic, so no module of the package
 imports ``fractions``; the Fraction references live in tests/oracles.py.  A
-top-level import that nothing in its module uses is dead code.  The package
-``__init__`` only re-exports, so its imports are exempt from the second check.
+top-level import that nothing in its module uses is dead code, and so is a
+public top-level function or class that nothing in the package (outside its
+own definition) or the benchmark refers to: what only the tests need lives in
+tests/.  The package ``__init__`` only re-exports, so its imports are exempt
+from the import check and its names do not count as references.
 """
 
 import ast
@@ -11,7 +14,8 @@ import pathlib
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "togliatti"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "togliatti"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -36,6 +40,39 @@ def unused_top_level_imports(tree):
     return sorted(name for name in bound if name not in used)
 
 
+def referenced_names(tree, skip=None):
+    """Names and attribute names used in tree, outside the node skip."""
+    names = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def unreferenced_public_definitions(package_trees, bench_trees):
+    """(module, name) of each public top-level function or class that no
+    package module outside its own definition and no bench script refers to."""
+    outside = set().union(*(referenced_names(tree) for tree in bench_trees))
+    unreferenced = []
+    for module, tree in package_trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            used = outside.union(
+                *(referenced_names(other, skip=node) for other in package_trees.values())
+            )
+            if node.name not in used:
+                unreferenced.append((module, node.name))
+    return unreferenced
+
+
 def test_modules_found():
     assert {path.name for path in MODULES} >= {"__init__.py", "linalg.py", "classify.py"}
 
@@ -51,3 +88,19 @@ def test_no_fractions_import(path):
 )
 def test_no_unused_top_level_import(path):
     assert unused_top_level_imports(ast.parse(path.read_text())) == []
+
+
+def test_every_public_definition_is_referenced():
+    package = {p.stem: ast.parse(p.read_text()) for p in MODULES if p.name != "__init__.py"}
+    bench = [ast.parse(p.read_text()) for p in sorted((ROOT / "bench").glob("*.py"))]
+    assert bench
+    assert unreferenced_public_definitions(package, bench) == []
+
+
+def test_unreferenced_definition_is_reported():
+    package = {
+        "a": ast.parse("def used():\n    return 1\n\ndef lonely():\n    return lonely()\n"),
+        "b": ast.parse("from a import used, lonely\nx = used()\n"),
+    }
+    bench = [ast.parse("import a\n")]
+    assert unreferenced_public_definitions(package, bench) == [("a", "lonely")]

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,12 +16,14 @@ from togliatti import (
     spans_full_lattice,
     contains_all_simplex_vertices,
 )
-from togliatti.linalg import hnf, kernel_basis, lattice_index, rank
+from togliatti.family import family_system, valid_partitions
+from togliatti.linalg import hnf, kernel_basis, rank
 from togliatti import polytope
-from togliatti.polytope import lattice_coordinates
+from togliatti.polytope import degree_lattice, lattice_coordinates
 
 import conftest
 import oracles
+from oracles import lattice_index
 
 
 def oracle_hull(points):
@@ -114,7 +117,7 @@ class TestHullStructure:
         model = hull_structure(conftest.truncated_simplex_apolar(2))
         assert len(model.vertices) == 6
         assert len(model.edges) == 6
-        assert all(len(model.neighbors(v)) == 2 for v in model.vertices)
+        assert all(len(model.directions[v]) == 2 for v in model.vertices)
 
     def test_full_simplex_triangle(self):
         model = hull_structure(lattice_points_simplex(2, 3))
@@ -142,6 +145,65 @@ class TestHullStructure:
             verts, edges = oracle_hull(pts)
             assert sorted(model.vertices) == verts, pts
             assert sorted(model.edges) == edges, pts
+
+
+def primitive_difference(w, v):
+    diff = [a - b for a, b in zip(w, v)]
+    g = gcd(*diff)
+    return tuple(x // g for x in diff)
+
+
+def assert_matches_oracle(pts):
+    """hull_structure agrees with oracle_hull, and each vertex's directions
+    are the primitive differences to its neighbours in sorted order."""
+    model = hull_structure(pts)
+    verts, edges = oracle_hull(pts)
+    assert list(model.vertices) == verts, pts
+    assert list(model.edges) == edges, pts
+    assert set(model.directions) == set(verts)
+    for v in verts:
+        neighbours = sorted(w for e in edges for w in e if v in e and w != v)
+        expected = tuple(primitive_difference(model.coords[w], model.coords[v]) for w in neighbours)
+        assert model.directions[v] == expected, (pts, v)
+
+
+class TestEdgeWalkMatchesOracle:
+    """The edge walk against the brute-force facet enumeration."""
+
+    def test_random_sets_dims_1_to_4(self):
+        rng = random.Random(7071)
+        for dim in range(1, 5):
+            for _ in range(15):
+                # a segment holds at most 5 points of random_point_set's box
+                count = rng.randint(1, 5 if dim == 1 else 9)
+                assert_matches_oracle(random_point_set(rng, dim, count))
+
+    def test_single_point(self):
+        model = hull_structure([(1, 2, 0)])
+        assert model.vertices == ((1, 2, 0),)
+        assert model.edges == ()
+        assert model.directions == {(1, 2, 0): ()}
+        assert_matches_oracle([(1, 2, 0)])
+
+    def test_collinear_points_on_several_rays(self):
+        # points at 1..3 steps along a few rays from a centre, plus the centre:
+        # only the farthest point on each edge ray is a vertex
+        rng = random.Random(8080)
+        for _ in range(25):
+            dim = rng.randint(1, 3)
+            centre = tuple(rng.randint(-2, 2) for _ in range(dim))
+            pts = {centre}
+            for _ in range(rng.randint(1, 4)):
+                ray = tuple(rng.randint(-2, 2) for _ in range(dim))
+                if any(ray):
+                    for k in range(1, rng.randint(2, 4)):
+                        pts.add(tuple(c + k * r for c, r in zip(centre, ray)))
+            assert_matches_oracle(sorted(pts))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_family_members(self, n):
+        for spec in valid_partitions(n):
+            assert_matches_oracle(family_system(spec).sys.apolar)
 
 
 class TestSmoothness:
@@ -233,6 +295,20 @@ class TestLatticePredicates:
 
     def test_family_spans(self, counterex3):
         assert spans_full_lattice(counterex3.apolar)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_spans_full_lattice_matches_index_oracle(self, n):
+        # HNF equality with the zero-sum lattice against index 1
+        rng = random.Random(300 + n)
+        points = lattice_points_simplex(n, 3)
+        full = degree_lattice(n + 1)
+        spanning = 0
+        for _ in range(2000):
+            sample = rng.sample(points, rng.randint(1, len(points)))
+            expected = lattice_index(spanned_lattice(sample)[1], full) == 1
+            assert spans_full_lattice(sample) == expected, sample
+            spanning += expected
+        assert 0 < spanning < 2000
 
 
 @st.composite
