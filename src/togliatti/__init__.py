@@ -9,7 +9,6 @@ minimal smooth classes at small n and verifies the classification theorem.
 
 from .classify import (
     ClassificationResult,
-    SearchConfig,
     check_command,
     enumerate_minimal_smooth,
     verify_theorem,

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from math import comb
 from typing import Optional
 
 from . import graphs, lefschetz, polytope
@@ -23,7 +22,7 @@ from .errors import (
     PreconditionError,
     StructureFailureError,
 )
-from .family import equality_partitions, member_partition, valid_partitions
+from .family import equality_partitions, generator_bound, member_partition, valid_partitions
 from .monomials import (
     MonomialSystem,
     PartitionSpec,
@@ -48,32 +47,21 @@ class ClassificationResult:
     stats: dict
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    n: int
-    max_s: Optional[int] = None  # default C(n+2, 3)
-    budget: Optional[float] = None  # seconds; None = unlimited
-
-    def effective_max_s(self) -> int:
-        return self.max_s if self.max_s is not None else comb(self.n + 2, 3)
-
-
-def enumerate_minimal_smooth(config: SearchConfig) -> ClassificationResult:
-    """All minimal smooth cubic systems with |S| <= max_s, one canonical rep per class.
+def enumerate_minimal_smooth(n: int, budget: Optional[float] = None) -> ClassificationResult:
+    """All minimal smooth cubic systems within the cardinality bound, one
+    canonical rep per class; budget is in seconds, None for unlimited.
 
     Deterministic: candidates are visited in sorted subset order and classes
     are returned in canonical-encoding order.
     """
-    n = config.n
     if n < 2:
         raise InvalidArgumentError(f"n must be >= 2, got {n}")
-    max_s = config.effective_max_s()
     start = time.monotonic()
 
     all_points = lattice_points_simplex(n, 3)
     cubes = [m for m in all_points if max(m) == 3]
     pool = [m for m in all_points if max(m) < 3]
-    max_extra = max_s - len(cubes)
+    max_extra = lefschetz.cardinality_bound(n, 3) - len(cubes)
 
     stats = {
         "candidates": 0,
@@ -84,11 +72,11 @@ def enumerate_minimal_smooth(config: SearchConfig) -> ClassificationResult:
     }
     survivors = {}
     rejected_orbits = set()  # canonical reps already found non-smooth
-    for k in range(max_extra + 1):  # empty range when max_s < n+1
+    for k in range(max_extra + 1):
         for extras in itertools.combinations(pool, k):
-            if config.budget is not None and time.monotonic() - start > config.budget:
+            if budget is not None and time.monotonic() - start > budget:
                 raise BudgetExhaustedError(
-                    f"budget of {config.budget}s exhausted after "
+                    f"budget of {budget}s exhausted after "
                     f"{stats['candidates']} candidates",
                     partial=ClassificationResult(n, _finalize(survivors), stats),
                 )
@@ -223,7 +211,7 @@ def _minimality_text(minimality):
         return {"unique_quadric": str(minimality.quadric)}
     point, quadric = minimality.violation
     return {
-        "violating_point": monomial_str(point) if point is not None else None,
+        "violating_point": monomial_str(point),
         "vanishing_quadric": str(quadric),
     }
 
@@ -274,6 +262,15 @@ def _graph_summary(sys, verbose):
 # ---------------------------------------------------------------------------
 # theorem verification
 
+def class_summary(rec: ClassRecord) -> dict:
+    """The generators, size and family partition of one enumerated class."""
+    return {
+        "generators": [monomial_str(m) for m in rec.sys.generators],
+        "size": len(rec.sys.generators),
+        "partition": list(rec.partition.parts) if rec.partition else None,
+    }
+
+
 def verify_theorem(n: int, budget: Optional[float] = None) -> dict:
     """Machine verification of the classification at a given n.
 
@@ -283,51 +280,37 @@ def verify_theorem(n: int, budget: Optional[float] = None) -> dict:
     """
     report = {"schema_version": 1, "n": n, "status": "pass", "failures": []}
     try:
-        result = enumerate_minimal_smooth(SearchConfig(n=n, budget=budget))
+        result = enumerate_minimal_smooth(n, budget)
     except BudgetExhaustedError as exc:
         report["status"] = "inconclusive"
         report["failures"].append(str(exc))
         return report
 
     # each class knows the family member it is, if any
-    found = {rec.partition for rec in result.classes}
-    missing = [spec.parts for spec in valid_partitions(n) if spec not in found]
-    extra = [
-        [monomial_str(m) for m in rec.sys.generators]
-        for rec in result.classes
-        if rec.partition is None
-    ]
+    classes = [class_summary(rec) for rec in result.classes]
+    found = [c["partition"] for c in classes]
+    missing = [list(p.parts) for p in valid_partitions(n) if list(p.parts) not in found]
+    extra = [c["generators"] for c in classes if c["partition"] is None]
     if missing:
-        report["failures"].append({"missing_partitions": [list(p) for p in missing]})
+        report["failures"].append({"missing_partitions": missing})
     if extra:
         report["failures"].append({"unexpected_classes": extra})
 
-    bound = comb(n + 1, 3) + n + 1
+    bound = generator_bound(n)
     report["bound"] = bound
-    at_equality = []
-    for rec in result.classes:
-        size = len(rec.sys.generators)
-        if size > bound:
-            report["failures"].append(
-                {"bound_violation": [monomial_str(m) for m in rec.sys.generators]}
-            )
-        if size == bound and rec.partition is not None:
-            at_equality.append(rec.partition.parts)
-    predicted = sorted(p.parts for p in equality_partitions(n))
-    if sorted(at_equality) != predicted:
+    for c in classes:
+        if c["size"] > bound:
+            report["failures"].append({"bound_violation": c["generators"]})
+    at_equality = sorted(
+        c["partition"] for c in classes if c["size"] == bound and c["partition"] is not None
+    )
+    predicted = sorted(list(p.parts) for p in equality_partitions(n))
+    if at_equality != predicted:
         report["failures"].append(
-            {"equality_mismatch": {"found": sorted(map(list, at_equality)),
-                                   "predicted": list(map(list, predicted))}}
+            {"equality_mismatch": {"found": at_equality, "predicted": predicted}}
         )
 
-    report["classes"] = [
-        {
-            "generators": [monomial_str(m) for m in rec.sys.generators],
-            "size": len(rec.sys.generators),
-            "partition": list(rec.partition.parts) if rec.partition else None,
-        }
-        for rec in result.classes
-    ]
+    report["classes"] = classes
     report["class_count"] = len(result.classes)
     report["stats"] = result.stats
     if report["failures"]:

@@ -15,7 +15,7 @@ from math import comb
 
 from . import classify, family as family_mod
 from .errors import BudgetExhaustedError, ParseError, TogliattiError
-from .monomials import PartitionSpec, monomial_str, parse_system, serialize
+from .monomials import PartitionSpec, parse_system, serialize
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -96,9 +96,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    config = classify.SearchConfig(n=args.n, max_s=args.max_s, budget=args.budget)
     try:
-        result = classify.enumerate_minimal_smooth(config)
+        result = classify.enumerate_minimal_smooth(args.n, args.budget)
     except BudgetExhaustedError as exc:
         payload = {"status": "inconclusive", "reason": str(exc)}
         if exc.partial is not None:
@@ -111,9 +110,7 @@ def cmd_enumerate(args) -> int:
         "class_count": len(result.classes),
         "classes": [
             {
-                "generators": [monomial_str(m) for m in rec.sys.generators],
-                "size": len(rec.sys.generators),
-                "partition": list(rec.partition.parts) if rec.partition else None,
+                **classify.class_summary(rec),
                 "smooth": rec.smoothness.smooth,
                 "laplace_delta": rec.laplace_delta,
             }
@@ -126,9 +123,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_family(args) -> int:
-    parts = args.partition
-    n = args.n if args.n is not None else sum(parts) - 1
-    spec = PartitionSpec(parts, n)
+    spec = PartitionSpec.from_parts(args.partition)
     fam = family_mod.family_system(spec)
     payload = {
         "partition": list(spec.parts),
@@ -145,7 +140,7 @@ def cmd_family(args) -> int:
 def cmd_bound(args) -> int:
     rows = []
     for n in range(2, args.n_max + 1):
-        bound = comb(n + 1, 3) + n + 1
+        bound = family_mod.generator_bound(n)
         for spec in family_mod.valid_partitions(n):
             mu = family_mod.mu_formula(spec)
             rows.append(
@@ -199,7 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="search for minimal smooth systems")
     p.add_argument("--n", type=_at_least(2), required=True)
-    p.add_argument("--max-s", dest="max_s", type=_at_least(0), default=None)
     p.add_argument("--budget", type=_at_least(0, float), default=None, help="time budget in seconds")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_enumerate)
@@ -208,12 +202,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--partition", type=_partition, required=True, help="comma-separated parts, e.g. 2,1,1"
     )
-    p.add_argument("--n", type=int, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_family)
 
     p = sub.add_parser("bound", help="generator-count table over all partitions")
-    p.add_argument("--n-max", dest="n_max", type=int, required=True)
+    p.add_argument("--n-max", dest="n_max", type=_at_least(2), required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_bound)
 

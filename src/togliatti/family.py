@@ -18,7 +18,7 @@ from typing import Optional
 
 from . import graphs
 from .errors import InvalidArgumentError
-from .lefschetz import QuadricForm
+from .lefschetz import QuadricForm, quadric_pairs
 from .monomials import MonomialSystem, PartitionSpec, lattice_points_simplex
 
 
@@ -96,15 +96,13 @@ def member_partition(sys: MonomialSystem) -> Optional[PartitionSpec]:
 
 def witness_quadric(spec: PartitionSpec) -> QuadricForm:
     """The explicit quadric through the apolar points and through no generator point."""
-    n = spec.n
-    group_of = [spec.group_of(i) for i in range(n + 1)]
-    diag = tuple([2] * (n + 1))
-    cross = tuple(
-        4 if group_of[i] == group_of[j] else -5
-        for i in range(n + 1)
-        for j in range(i + 1, n + 1)
-    )
-    return QuadricForm(diag, cross)
+    n1 = spec.n + 1
+    group_of = [spec.group_of(i) for i in range(n1)]
+    coeffs = [
+        2 if i == j else 4 if group_of[i] == group_of[j] else -5
+        for i, j in quadric_pairs(n1)
+    ]
+    return QuadricForm.from_coeff_vector(coeffs, n1)
 
 
 def valid_partitions(n: int) -> list:
@@ -124,9 +122,14 @@ def valid_partitions(n: int) -> list:
     return out
 
 
+def generator_bound(n: int) -> int:
+    """The classification bound C(n+1,3) + n + 1 on the generator count mu."""
+    return comb(n + 1, 3) + n + 1
+
+
 def equality_partitions(n: int) -> list:
     """Partitions attaining the maximal generator count C(n+1,3) + n + 1."""
     if n < 2:
         raise InvalidArgumentError(f"n must be >= 2, got {n}")
-    bound = comb(n + 1, 3) + n + 1
+    bound = generator_bound(n)
     return [p for p in valid_partitions(n) if mu_formula(p) == bound]

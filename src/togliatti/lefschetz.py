@@ -8,7 +8,9 @@ order-2 Laplace-equation count.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from typing import NamedTuple, Optional
 
@@ -62,9 +64,14 @@ def _require_artinian(sys: MonomialSystem):
         raise PreconditionError("system is not artinian: some pure power is missing from S")
 
 
+def cardinality_bound(n: int, d: int) -> int:
+    """C(n+d-1, n-1): the largest |S| for which WLP failure is a Laplace equation."""
+    return comb(n + d - 1, n - 1)
+
+
 def cardinality_ok(sys: MonomialSystem) -> bool:
     """|S| within the bound that makes the Laplace equation non-trivial."""
-    return len(sys.generators) <= comb(sys.n + sys.d - 1, sys.n - 1)
+    return len(sys.generators) <= cardinality_bound(sys.n, sys.d)
 
 
 def build_multiplication_map(sys: MonomialSystem) -> MultiplicationMap:
@@ -132,6 +139,14 @@ def _power_of_neg_sum(e, n):
 # ---------------------------------------------------------------------------
 # hyperquadrics
 
+@lru_cache(maxsize=None)
+def quadric_pairs(n1: int) -> tuple:
+    """Column order of the quadric coefficients in n1 variables: the squares
+    (i, i), then the pairs (i, j), i < j, in lex order."""
+    squares = tuple((i, i) for i in range(n1))
+    return squares + tuple(itertools.combinations(range(n1), 2))
+
+
 @dataclass(frozen=True)
 class QuadricForm:
     """Symmetric quadratic form sum mu_i x_i^2 + sum_{i<j} mu_{i,j} x_i x_j."""
@@ -139,57 +154,32 @@ class QuadricForm:
     diag: tuple
     cross: tuple  # entries in lex order of pairs (i,j), i < j
 
-    @property
-    def nvars(self) -> int:
-        return len(self.diag)
+    def _terms(self):
+        """(coefficient, (i, j)) in quadric_pairs order."""
+        return zip(self.coeff_vector(), quadric_pairs(len(self.diag)))
 
     def evaluate(self, point):
-        total = sum(mu * a * a for mu, a in zip(self.diag, point))
-        k = 0
-        n1 = len(self.diag)
-        for i in range(n1):
-            for j in range(i + 1, n1):
-                total += self.cross[k] * point[i] * point[j]
-                k += 1
-        return total
+        return sum(mu * point[i] * point[j] for mu, (i, j) in self._terms())
 
     @classmethod
-    def from_coeff_vector(cls, vec, nvars):
-        return cls(tuple(vec[:nvars]), tuple(vec[nvars:]))
+    def from_coeff_vector(cls, vec, n1):
+        return cls(tuple(vec[:n1]), tuple(vec[n1:]))
 
     def coeff_vector(self):
         return self.diag + self.cross
 
-    def cross_coeff(self, i, j):
-        if i > j:
-            i, j = j, i
-        n1 = len(self.diag)
-        k = sum(n1 - 1 - t for t in range(i)) + (j - i - 1)
-        return self.cross[k]
-
     def __str__(self):
-        terms = []
-        for i, mu in enumerate(self.diag):
-            if mu:
-                terms.append(f"{mu}*x{i}^2")
-        k = 0
-        n1 = len(self.diag)
-        for i in range(n1):
-            for j in range(i + 1, n1):
-                if self.cross[k]:
-                    terms.append(f"{self.cross[k]}*x{i}*x{j}")
-                k += 1
+        terms = [
+            f"{mu}*x{i}^2" if i == j else f"{mu}*x{i}*x{j}"
+            for mu, (i, j) in self._terms()
+            if mu
+        ]
         return " + ".join(terms) if terms else "0"
 
 
 def quadric_evaluation_row(point):
     """Row (a_0^2, ..., a_n^2, a_0 a_1, ..., a_{n-1} a_n) of the quadric evaluation matrix."""
-    n1 = len(point)
-    row = [a * a for a in point]
-    for i in range(n1):
-        for j in range(i + 1, n1):
-            row.append(point[i] * point[j])
-    return row
+    return [point[i] * point[j] for i, j in quadric_pairs(len(point))]
 
 
 def quadric_space(points, n: int) -> list:
@@ -222,17 +212,11 @@ def is_minimal_togliatti(sys: MonomialSystem) -> MinimalityResult:
     if not space:
         raise PreconditionError("system does not fail WLP: no quadric through P")
     if len(space) > 1:
-        # some quadric through P vanishes at a point of S: solve for one
-        for p in sys.generators:
-            rows = [quadric_evaluation_row(q) for q in sys.apolar]
-            rows.append(quadric_evaluation_row(p))
-            kernel = linalg.kernel_basis(rows, comb(sys.n + 2, 2))
-            if kernel:
-                witness = QuadricForm.from_coeff_vector(kernel[0], sys.n + 1)
-                return MinimalityResult(False, None, (p, witness))
-        # quadric space has dim >= 2 yet no member vanishes on an S point:
-        # still not minimal (uniqueness fails); report without a point witness
-        return MinimalityResult(False, None, (None, space[0]))
+        # one more linear condition on a space of dimension >= 2 leaves a
+        # nonzero quadric: through P and the first generator point
+        p = sys.generators[0]
+        witness = quadric_space(sys.apolar + (p,), sys.n)[0]
+        return MinimalityResult(False, None, (p, witness))
     quadric = space[0]
     for p in sys.generators:
         if quadric.evaluate(p) == 0:

@@ -3,14 +3,15 @@
 Everything here is deterministic and exact: rank and kernels (over Q) of
 integer matrices come from one fraction-free Gauss-Jordan elimination
 (gcd-normalised rows, first-nonzero pivoting), Hermite normal forms and
-lattice coordinates are computed over Z, determinants via Bareiss.  No
-floating point and no rational arithmetic anywhere.
+lattice coordinates are computed over Z, and |det| of a square matrix is the
+product of its HNF pivots.  No floating point and no rational arithmetic
+anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .errors import InvalidArgumentError
 
@@ -106,29 +107,6 @@ def kernel_basis(rows, ncols) -> list:
     return basis
 
 
-def det_bareiss(rows) -> int:
-    """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [list(map(int, row)) for row in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 @dataclass(frozen=True)
 class LatticeBasis:
     """Basis of a sublattice of Z^ambient, rows in Hermite normal form.
@@ -212,3 +190,8 @@ def hnf(vectors, ambient=None) -> LatticeBasis:
     rows = rows[:r]
     return LatticeBasis(ambient, tuple(tuple(row) for row in rows))
 
+
+def abs_det(rows) -> int:
+    """|det| of a square integer matrix: the product of its HNF pivots, 0 when singular."""
+    basis = hnf(rows, len(rows)).basis
+    return prod(row[i] for i, row in enumerate(basis)) if len(basis) == len(rows) else 0

@@ -210,7 +210,7 @@ def smoothness_check(points) -> SmoothnessCertificate:
                 smooth = False
                 failure = (v, f"vertex has {len(dirs)} edges, expected {m}")
             continue
-        det = abs(linalg.det_bareiss([list(d) for d in dirs]))
+        det = linalg.abs_det(dirs)
         records.append(VertexRecord(v, len(dirs), dirs, det))
         if det != 1:
             if smooth:

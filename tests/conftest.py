@@ -5,6 +5,7 @@ import random
 import pytest
 
 from togliatti import MonomialSystem, lattice_points_simplex, parse_system
+from togliatti.lefschetz import quadric_pairs
 
 # The n=2 system S = (x0^3, x1^3, x2^3, x0*x1*x2): the unique minimal smooth
 # class at n=2 and the classical WLP-failure example.
@@ -80,3 +81,9 @@ def random_artinian_system(rng, n, max_s=None):
 
 def seeded_rng(seed):
     return random.Random(seed)
+
+
+def quadric_coeff(q, i, j):
+    """Coefficient of x_i*x_j (x_i^2 when i == j) in the quadric q."""
+    i, j = sorted((i, j))
+    return q.coeff_vector()[quadric_pairs(len(q.diag)).index((i, j))]

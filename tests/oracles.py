@@ -6,8 +6,8 @@
   production code to return identical results; likewise the Fraction
   lattice coordinates that ``LatticeBasis.coordinates`` replaced.
 - The RREF read off the integer core, matrix-vector products, the Smith
-  normal form and lattice indices: tools the tests check the production
-  code with, which no verdict needs.
+  normal form, lattice indices and the Bareiss determinant: tools the tests
+  check the production code with, which no verdict needs.
 - Minimality straight from the subset definition, an exponential
   cross-check of the quadric criterion at small n.
 - Family membership by comparing canonical forms, the two S_{n+1} orbit
@@ -270,6 +270,29 @@ def smith_diagonal(rows) -> list:
     return diag
 
 
+def det_bareiss(rows) -> int:
+    """ORACLE: exact determinant of a square integer matrix (fraction-free Bareiss)."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    m = [list(map(int, row)) for row in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
 def lattice_index(sub, sup):
     """ORACLE: index [sup : sub] as an integer, or inf when rank(sub) < rank(sup).
 
@@ -285,7 +308,7 @@ def lattice_index(sub, sup):
         coeffs.append(coords)
     if sub.dimension < sup.dimension:
         return inf
-    return abs(linalg.det_bareiss(coeffs))
+    return abs(det_bareiss(coeffs))
 
 
 @functools.lru_cache(maxsize=None)

@@ -13,7 +13,6 @@ from math import comb
 from togliatti import (
     MonomialSystem,
     PartitionSpec,
-    SearchConfig,
     build_multiplication_map,
     canonical_form,
     build_gp,
@@ -206,7 +205,7 @@ def test_criterion_8_geometry_oracle():
 @criterion(9, "structural propositions on every enumerated class")
 def test_criterion_9_structural_properties():
     for n in (2, 3):
-        result = enumerate_minimal_smooth(SearchConfig(n=n))
+        result = enumerate_minimal_smooth(n)
         assert result.classes
         for rec in result.classes:
             assert build_gp(rec.sys).is_symmetric()

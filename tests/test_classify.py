@@ -5,12 +5,11 @@ import pytest
 from togliatti import (
     BudgetExhaustedError,
     InvalidArgumentError,
-    SearchConfig,
     check_command,
     enumerate_minimal_smooth,
     verify_theorem,
 )
-from togliatti import classify
+from togliatti import classify, lefschetz
 from togliatti.family import family_system
 from togliatti.monomials import PartitionSpec, canonical_form, parse_system
 
@@ -20,20 +19,17 @@ from oracles import minimality_by_subset_definition
 
 class TestEnumerateN2:
     def test_single_class(self):
-        result = enumerate_minimal_smooth(SearchConfig(n=2))
+        result = enumerate_minimal_smooth(2)
         assert len(result.classes) == 1
         rec = result.classes[0]
         assert rec.partition.parts == (1, 1, 1)
         expected = canonical_form(family_system(PartitionSpec((1, 1, 1), 2)).sys)
         assert rec.sys.encoding() == expected.encoding()
 
-    def test_max_s_three_empty(self):
-        result = enumerate_minimal_smooth(SearchConfig(n=2, max_s=3))
-        assert result.classes == ()
-
     def test_agrees_with_unpruned_bruteforce(self):
-        # all artinian S with |S| <= 4 contain the cubes plus at most one
-        # extra monomial: check each candidate end to end without filters
+        # all artinian S within the bound |S| <= C(4,3) = 4 contain the cubes
+        # plus at most one extra monomial: check each candidate end to end
+        # without filters
         import itertools
         from togliatti import (
             MonomialSystem,
@@ -57,7 +53,7 @@ class TestEnumerateN2:
                 if not smoothness_check(sys.apolar).smooth:
                     continue
                 survivors.add(canonical_form(sys).encoding())
-        result = enumerate_minimal_smooth(SearchConfig(n=2, max_s=4))
+        result = enumerate_minimal_smooth(2)
         assert {rec.sys.encoding() for rec in result.classes} == survivors
         assert len(survivors) == 1
 
@@ -134,11 +130,11 @@ class TestEnumerateN2:
 
     def test_invalid_config(self):
         with pytest.raises(InvalidArgumentError):
-            enumerate_minimal_smooth(SearchConfig(n=1))
+            enumerate_minimal_smooth(1)
 
     def test_budget_exhaustion(self):
         with pytest.raises(BudgetExhaustedError) as err:
-            enumerate_minimal_smooth(SearchConfig(n=3, budget=0.0))
+            enumerate_minimal_smooth(3, budget=0.0)
         assert err.value.partial is not None
 
 
@@ -148,7 +144,7 @@ class TestStructuralInvariants:
         from togliatti.graphs import build_gp
 
         for n in (2, 3):
-            result = enumerate_minimal_smooth(SearchConfig(n=n))
+            result = enumerate_minimal_smooth(n)
             assert result.classes
             for rec in result.classes:
                 assert build_gp(rec.sys).is_symmetric()
@@ -248,8 +244,19 @@ class TestVerifyTheorem:
     def test_mutated_search_fails(self, monkeypatch):
         # restrict the search below the classification sizes: classes go
         # missing and the report must say fail, not pass
-        monkeypatch.setattr(SearchConfig, "effective_max_s", lambda self: 3)
+        monkeypatch.setattr(lefschetz, "cardinality_bound", lambda n, d: 3)
         report = verify_theorem(2)
         assert report["status"] == "fail"
         assert any("missing_partitions" in f for f in report["failures"]
                    if isinstance(f, dict))
+
+    def test_class_above_bound_fails(self, monkeypatch):
+        # a generator bound below the class sizes: every class violates it,
+        # and none is at equality any more
+        monkeypatch.setattr(classify, "generator_bound", lambda n: 3)
+        report = verify_theorem(2)
+        assert report["status"] == "fail"
+        assert report["bound"] == 3
+        failures = [f for f in report["failures"] if isinstance(f, dict)]
+        assert {"bound_violation": ["x2^3", "x1^3", "x0*x1*x2", "x0^3"]} in failures
+        assert {"equality_mismatch": {"found": [], "predicted": [[1, 1, 1]]}} in failures

@@ -1,9 +1,13 @@
 """Command-line surface: subcommands, exit codes, JSON stability."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from togliatti import classify
 from togliatti.cli import (
     EXIT_FAIL,
     EXIT_INCONCLUSIVE,
@@ -193,6 +197,14 @@ class TestVerify:
         assert code == EXIT_INCONCLUSIVE
         assert json.loads(out)["status"] == "inconclusive"
 
+    def test_bound_violation_exits_one(self, monkeypatch, capsys):
+        monkeypatch.setattr(classify, "generator_bound", lambda n: 3)
+        code, out, _ = run_cli(["verify", "--n", "2", "--json"], capsys)
+        assert code == EXIT_FAIL
+        payload = json.loads(out)
+        assert payload["status"] == "fail"
+        assert any("bound_violation" in f for f in payload["failures"])
+
 
 class TestMalformedArguments:
     @pytest.mark.parametrize(
@@ -207,7 +219,9 @@ class TestMalformedArguments:
             ["enumerate", "--n", "1"],
             ["enumerate", "--n", "2", "--jobs", "0"],
             ["enumerate", "--n", "2", "--budget", "-1"],
-            ["enumerate", "--n", "2", "--max-s", "-1"],
+            ["enumerate", "--n", "2", "--max-s", "3"],
+            ["family", "--partition", "2,1,1", "--n", "3"],
+            ["bound", "--n-max", "0"],
         ],
     )
     def test_usage_error_exits_two(self, argv, tmp_path, bk_file, capsys):
@@ -218,3 +232,94 @@ class TestMalformedArguments:
         assert code == EXIT_USAGE
         assert "Traceback" not in err
         assert len([line for line in err.splitlines() if "error:" in line]) == 1
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("S: x0^3 x1^3\n(1,1", 2, "unterminated tuple"),
+            ("S: x0^3\nx1^3 (1,a,2)", 2, "malformed tuple"),
+            ("S: (1,1,1,0)", 1, "has 4 entries, expected 3"),
+            ("S:\nx0^3\n(4,-1,0)", 3, "negative exponent"),
+            ("# no header here\n", 1, "missing header"),
+        ],
+    )
+    def test_check_parse_error_names_the_line(self, text, line, message, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        code, _, err = run_cli(["check", "--n", "2", str(path)], capsys)
+        assert code == EXIT_USAGE
+        errors = [row for row in err.splitlines() if "error:" in row]
+        assert len(errors) == 1
+        assert f"line {line}:" in errors[0] and message in errors[0]
+
+
+# ---------------------------------------------------------------------------
+# fuzz: argv for every command, and check files, from valid and broken tokens
+
+NUMBER = st.sampled_from(["2", "3", "4", "2", "3", "1", "0", "-1", "x", "", "2.5", "1e9"])
+BUDGET = st.sampled_from(["0", "0.0", "0", "-1", "nan", "x"])  # never unbounded
+MONOMIAL = st.sampled_from([
+    "x0^3", "x1^3", "x2^3", "x0^2*x1", "x0^2*x2", "x0*x1^2", "x1^2*x2", "x0*x2^2",
+    "x1*x2^2", "x0*x1*x2", "x3^3", "x0*x1*x3", "x2*x3*x4", "(1,1,1)", "(3,0,0)",
+])
+BROKEN = st.sampled_from([
+    "(1,1", "(1,a,1)", "(4,-1,0)", "(2,1,0,0)", "()", "x9^3", "x0^^2", "x0*",
+    "x0^2", "banana", "S:", "Q:", "#", "caf\u00e9",
+])
+STRAY = st.sampled_from([[], [], [], [], ["--verbose"], ["--max-s", "3"], ["--n"]])
+
+
+def _flag(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+@st.composite
+def check_text(draw):
+    """A header, distinct monomials and at most one broken token, over one or two lines."""
+    tokens = draw(st.lists(MONOMIAL, unique=True, max_size=10))
+    tokens += draw(st.lists(BROKEN, max_size=1))
+    tokens = draw(st.permutations(tokens))
+    cut = draw(st.integers(0, len(tokens)))
+    header = draw(st.sampled_from(["S:", "P:"] * 4 + ["Q:", ""]))
+    return f"{header} {' '.join(tokens[:cut])}\n{' '.join(tokens[cut:])}"
+
+
+@st.composite
+def cli_case(draw):
+    """(argv, check file text); '{file}' in argv stands for the file's path."""
+    command = draw(st.sampled_from(["check", "check", "enumerate", "family", "bound", "verify",
+                                    "nope"]))
+    groups = [draw(STRAY), draw(st.sampled_from([[], ["--json"]]))]
+    if command == "check":
+        groups += [
+            [draw(st.sampled_from(["{file}"] * 8 + ["{missing}", "{dir}"]))],
+            draw(_flag("--n", NUMBER)),
+            draw(_flag("--d", st.sampled_from(["3", "3", "2", "4", "1", "0", "x"]))),
+            draw(st.sampled_from([[], ["--verbose"]])),
+        ]
+    elif command in ("enumerate", "verify"):
+        groups += [["--n", draw(NUMBER)], ["--budget", draw(BUDGET)]]
+    elif command == "family":
+        parts = draw(st.lists(st.sampled_from(["1", "2", "3", "1", "4", "0", "-1", "a", ""]),
+                              max_size=5))
+        groups.append(["--partition", ",".join(parts)])
+    elif command == "bound":
+        groups.append(["--n-max", draw(NUMBER)])
+    groups = draw(st.permutations(groups))
+    return [command] + [token for group in groups for token in group], draw(check_text())
+
+
+class TestFuzz:
+    @given(case=cli_case())
+    @settings(max_examples=150, deadline=None)
+    def test_exit_code_table_and_no_traceback(self, case, tmp_path_factory):
+        argv, text = case
+        root = tmp_path_factory.mktemp("fuzz")
+        path = root / "system.txt"
+        path.write_text(text, encoding="utf-8")
+        paths = {"{file}": str(path), "{missing}": str(root / "missing.txt"), "{dir}": str(root)}
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([paths.get(a, a) for a in argv])
+        assert code in (EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_INCONCLUSIVE)
+        assert "Traceback" not in err.getvalue()

@@ -78,8 +78,8 @@ class TestWitnessQuadric:
 
     def test_within_group_coefficient(self):
         q = family_system(PartitionSpec((2, 1, 1), 3)).witness_quadric
-        assert q.cross_coeff(0, 1) == 4  # same group: -5 + 9
-        assert q.cross_coeff(0, 2) == -5
+        assert conftest.quadric_coeff(q, 0, 1) == 4  # same group: -5 + 9
+        assert conftest.quadric_coeff(q, 0, 2) == -5
         assert q.evaluate((1, 1, 1, 0)) == 0  # x0x1x2 meets group {0,1} twice
         assert q.evaluate((3, 0, 0, 0)) == 18
 

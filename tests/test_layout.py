@@ -3,10 +3,11 @@
 Every verdict is computed in integer arithmetic, so no module of the package
 imports ``fractions``; the Fraction references live in tests/oracles.py.  A
 top-level import that nothing in its module uses is dead code, and so is a
-public top-level function or class that nothing in the package (outside its
-own definition) or the benchmark refers to: what only the tests need lives in
-tests/.  The package ``__init__`` only re-exports, so its imports are exempt
-from the import check and its names do not count as references.
+public top-level function or class, or a public method of such a class, that
+nothing in the package (outside its own definition) or the benchmark refers
+to: what only the tests need lives in tests/.  The package ``__init__`` only
+re-exports, so its imports are exempt from the import check and its names do
+not count as references.
 """
 
 import ast
@@ -56,20 +57,31 @@ def referenced_names(tree, skip=None):
     return names
 
 
+def public_definitions(tree):
+    """(qualified name, node) of each public top-level function or class and
+    of each public method of a top-level class."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item
+
+
 def unreferenced_public_definitions(package_trees, bench_trees):
-    """(module, name) of each public top-level function or class that no
-    package module outside its own definition and no bench script refers to."""
+    """(module, name) of each public definition that no package module
+    outside its own definition and no bench script refers to."""
     outside = set().union(*(referenced_names(tree) for tree in bench_trees))
     unreferenced = []
     for module, tree in package_trees.items():
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
-                continue
+        for qualname, node in public_definitions(tree):
             used = outside.union(
                 *(referenced_names(other, skip=node) for other in package_trees.values())
             )
             if node.name not in used:
-                unreferenced.append((module, node.name))
+                unreferenced.append((module, qualname))
     return unreferenced
 
 
@@ -104,3 +116,18 @@ def test_unreferenced_definition_is_reported():
     }
     bench = [ast.parse("import a\n")]
     assert unreferenced_public_definitions(package, bench) == [("a", "lonely")]
+
+
+def test_unreferenced_method_is_reported():
+    package = {
+        "a": ast.parse(
+            "class K:\n"
+            "    def used(self):\n        return self._private()\n"
+            "    def lonely(self):\n        return self.lonely()\n"
+            "    def _private(self):\n        return 1\n"
+            "    def __str__(self):\n        return ''\n"
+        ),
+        "b": ast.parse("from a import K\nx = K().used()\n"),
+    }
+    bench = [ast.parse("import a\n")]
+    assert unreferenced_public_definitions(package, bench) == [("a", "K.lonely")]

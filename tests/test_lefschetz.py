@@ -1,5 +1,6 @@
 """Algebraic predicates: multiplication map, WLP, quadrics, minimality, Laplace count."""
 
+import itertools
 from fractions import Fraction
 from math import comb
 
@@ -19,7 +20,12 @@ from togliatti import (
     quadric_space,
     restricted_dependence,
 )
-from togliatti.lefschetz import witness_product_in_ideal, poly_mul
+from togliatti.lefschetz import (
+    poly_mul,
+    quadric_evaluation_row,
+    quadric_pairs,
+    witness_product_in_ideal,
+)
 from togliatti.linalg import rank
 
 import conftest
@@ -136,8 +142,27 @@ class TestQuadricSpace:
         q = QuadricForm((1, 2, 3), (4, 5, 6))
         # 1*a^2 + 2*b^2 + 3*c^2 + 4ab + 5ac + 6bc at (1,1,1)
         assert q.evaluate((1, 1, 1)) == 21
-        assert q.cross_coeff(0, 1) == 4
-        assert q.cross_coeff(2, 1) == 6
+        assert conftest.quadric_coeff(q, 0, 1) == 4
+        assert conftest.quadric_coeff(q, 2, 1) == 6
+        assert str(q) == "1*x0^2 + 2*x1^2 + 3*x2^2 + 4*x0*x1 + 5*x0*x2 + 6*x1*x2"
+
+    def test_pair_order(self):
+        # squares first, then the cross pairs i < j in lex order
+        assert quadric_pairs(4) == (
+            (0, 0), (1, 1), (2, 2), (3, 3), (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)
+        )
+        assert len(quadric_pairs(5)) == comb(6, 2)
+        assert quadric_evaluation_row((2, 1, 0, 3)) == [4, 1, 0, 9, 2, 0, 6, 0, 3, 0]
+
+    def test_evaluate_is_row_dot_coefficients(self):
+        rng = conftest.seeded_rng(19)
+        for _ in range(50):
+            n1 = rng.randint(2, 6)
+            vec = [rng.randint(-5, 5) for _ in range(comb(n1 + 1, 2))]
+            q = QuadricForm.from_coeff_vector(vec, n1)
+            point = tuple(rng.randint(0, 3) for _ in range(n1))
+            row = quadric_evaluation_row(point)
+            assert q.evaluate(point) == sum(c * r for c, r in zip(vec, row))
 
 
 class TestMinimality:
@@ -151,10 +176,31 @@ class TestMinimality:
         assert not res.minimal
         point, quadric = res.violation
         # certificate: some quadric through P also vanishes at a generator point
-        if point is not None:
-            assert point in p15.generators
-            assert quadric.evaluate(point) == 0
-            assert all(quadric.evaluate(p) == 0 for p in p15.apolar)
+        assert point == p15.generators[0]
+        assert quadric.evaluate(point) == 0
+        assert all(quadric.evaluate(p) == 0 for p in p15.apolar)
+
+    def test_witness_at_first_generator_when_quadrics_are_not_unique(self):
+        # every artinian n=2 system with a quadric space of dimension >= 2:
+        # the witness is a quadric through P and the first generator point
+        points = lattice_points_simplex(2, 3)
+        cubes = [m for m in points if max(m) == 3]
+        pool = [m for m in points if max(m) < 3]
+        checked = 0
+        for k in range(len(pool) + 1):
+            for extras in itertools.combinations(pool, k):
+                sys = MonomialSystem.from_generators(2, 3, cubes + list(extras))
+                if len(quadric_space(sys.apolar, 2)) < 2:
+                    continue
+                res = is_minimal_togliatti(sys)
+                assert not res.minimal and res.quadric is None
+                point, quadric = res.violation
+                assert point == sys.generators[0]
+                assert any(quadric.coeff_vector())
+                assert quadric.evaluate(point) == 0
+                assert all(quadric.evaluate(p) == 0 for p in sys.apolar)
+                checked += 1
+        assert checked > 0
 
     def test_p12_not_minimal(self, p12):
         # unique quadric x0*x1 through P also vanishes at generators like x2^3
@@ -163,7 +209,7 @@ class TestMinimality:
         space = quadric_space(p12.apolar, 3)
         assert len(space) == 1
         assert space[0].diag == (0, 0, 0, 0)
-        assert space[0].cross_coeff(0, 1) != 0
+        assert conftest.quadric_coeff(space[0], 0, 1) != 0
 
     def test_requires_wlp_failure(self):
         sys = MonomialSystem.from_generators(2, 3, [(3, 0, 0), (0, 3, 0), (0, 0, 3)])
@@ -183,7 +229,7 @@ class TestMinimality:
                 b[i], b[j] = 1, 2
                 if tuple(a) in apolar and tuple(b) in apolar:
                     assert q.diag[i] == q.diag[j]
-                    assert 5 * q.diag[i] == -2 * q.cross_coeff(i, j)
+                    assert 5 * q.diag[i] == -2 * conftest.quadric_coeff(q, i, j)
 
 
 class TestLaplaceDelta:

@@ -15,10 +15,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from oracles import lattice_index, matvec, rref, smith_diagonal
+from oracles import det_bareiss, lattice_index, matvec, rref, smith_diagonal
 from togliatti.linalg import (
     LatticeBasis,
-    det_bareiss,
+    abs_det,
     hnf,
     kernel_basis,
     rank,
@@ -118,6 +118,23 @@ class TestDeterminant:
                     term *= m[i][perm[i]]
                 expected += term
             assert det_bareiss(m) == expected
+
+    def test_hnf_pivot_product_matches_bareiss(self):
+        # |det| as the product of the HNF pivots, against the Bareiss oracle;
+        # every other matrix is made singular by a dependent last row
+        rng = random.Random(11)
+        singular = 0
+        for trial in range(200):
+            k = rng.randint(1, 5)
+            m = random_matrix(rng, k, k)
+            if trial % 2:  # the last row: 0, or a combination of rows 0 and k-2
+                a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+                m[-1] = [a * x + b * y for x, y in zip(m[0], m[k - 2])] if k > 1 else [0]
+            expected = abs(det_bareiss(m))
+            singular += expected == 0
+            assert abs_det(m) == expected
+        assert abs_det([]) == abs(det_bareiss([])) == 1
+        assert singular >= 100
 
 
 class TestHnf:
