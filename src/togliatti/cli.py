@@ -11,7 +11,6 @@ import argparse
 import json
 import re
 import sys as _sys
-from math import comb
 
 from . import classify, family as family_mod
 from .errors import BudgetExhaustedError, ParseError, TogliattiError
@@ -148,7 +147,7 @@ def cmd_bound(args) -> int:
                     "n": n,
                     "partition": list(spec.parts),
                     "mu": mu,
-                    "beta": comb(n + 3, 3) - mu,
+                    "beta": family_mod.beta_formula(spec),
                     "bound": bound,
                     "at_bound": mu == bound,
                 }

@@ -42,6 +42,11 @@ def mu_formula(spec: PartitionSpec) -> int:
     return total
 
 
+def beta_formula(spec: PartitionSpec) -> int:
+    """Number of apolar points: the C(n+3,3) cubics minus the mu generators."""
+    return comb(spec.n + 3, 3) - mu_formula(spec)
+
+
 def family_system(spec: PartitionSpec) -> FamilySystem:
     """Construct the system for a partition and cross-check the generator count."""
     n = spec.n
@@ -60,8 +65,7 @@ def family_system(spec: PartitionSpec) -> FamilySystem:
         raise InvalidArgumentError(
             f"generator count {len(sys.generators)} disagrees with formula value {mu}"
         )
-    beta = comb(n + 3, 3) - mu
-    return FamilySystem(spec, sys, mu, beta, witness_quadric(spec))
+    return FamilySystem(spec, sys, mu, beta_formula(spec), witness_quadric(spec))
 
 
 def member_partition(sys: MonomialSystem) -> Optional[PartitionSpec]:

@@ -1,11 +1,14 @@
 """Exact convex hull, lattice and smoothness machinery.
 
 The hull is found by a walk over its edge graph, in coordinates of the lattice
-M spanned by the point configuration; each edge is decided by one small exact
-feasibility LP, solved by a phase-1 simplex on an integer tableau with Bland's
-rule.  Smoothness is the vertex criterion: every hull vertex has exactly m
-edges whose primitive directions form a basis of M, and the first lattice
-point along every edge belongs to the configuration.
+M spanned by the point configuration.  At each vertex a pair-sum filter first
+drops the directions that are positive multiples of a sum of two non-parallel
+differences, which no edge is; each surviving direction is then decided by one
+small exact feasibility LP against the other survivors, solved by a phase-1
+simplex on an integer tableau with Bland's rule.  Smoothness is the vertex
+criterion: every hull vertex has exactly m edges whose primitive directions
+form a basis of M, and the first lattice point along every edge belongs to
+the configuration.
 The last condition makes the vertex semigroups free; without it the variety
 is merely quasi-smooth (unimodular hull, non-normal chart).
 """
@@ -127,16 +130,82 @@ class LatticePolytopeModel:
         return self.lattice.dimension
 
 
+def _edge_candidates(v, coords) -> dict:
+    """The directions at v that survive the pair-sum filter.
+
+    The other points are grouped by primitive direction from v, and every
+    direction that is a positive multiple of y + z, for two non-parallel
+    differences y = p - v and z = q - v, is dropped (see hull_structure for
+    why no edge is).  Returns {primitive direction: (multiple, farthest
+    point along it)} for the survivors.
+
+    Each difference is packed into one integer in balanced base B = 4M + 1,
+    M the largest absolute coordinate of a difference: the packing is
+    additive and injective on vectors with coordinates in [-2M, 2M], where
+    every pair sum and every multiple k*d that could equal one lies, so the
+    pair sums that hit a direction are one set intersection per difference.
+    """
+    cv = coords[v]
+    farthest = {}  # primitive direction from v -> (multiple, point)
+    diffs = {}  # difference p - v -> its primitive direction
+    for p, c in coords.items():
+        if p != v:
+            diff = tuple(a - b for a, b in zip(c, cv))
+            k = gcd(*diff)
+            d = tuple(x // k for x in diff)
+            diffs[diff] = d
+            if d not in farthest or k > farthest[d][0]:
+                farthest[d] = (k, p)
+    box = 2 * max((max(map(abs, diff)) for diff in diffs), default=0)  # 2M
+    base = 2 * box + 1
+
+    def pack(vec):
+        code = 0
+        for x in reversed(vec):
+            code = code * base + x
+        return code
+
+    multiples = {}  # packed k*d -> d, for every k*d inside [-2M, 2M]^m
+    for d in farthest:
+        code = pack(d)
+        for k in range(1, box // max(map(abs, d)) + 1):
+            multiples[k * code] = d
+    direction_of = {pack(diff): d for diff, d in diffs.items()}
+    codes = list(direction_of)
+    hits = set(multiples).intersection
+    dropped = set()
+    for i, y in enumerate(codes):
+        for s in hits(map(y.__add__, codes[i + 1:])):
+            d = multiples[s]
+            # y or z = s - y along d is exactly the parallel case: if
+            # y + z = k*d and y = -a*d, then z = (k + a)*d
+            if d not in (direction_of[y], direction_of[s - y]):
+                dropped.add(d)
+    return {d: kp for d, kp in farthest.items() if d not in dropped}
+
+
 def hull_structure(points) -> LatticePolytopeModel:
     """Vertices and edges of conv(points) by a walk over the edge graph.
 
     The lex-smallest point is a vertex, and the edge graph of a polytope is
     connected, so every vertex is reached from it along edges.  At a vertex
     v the other points are grouped by primitive direction from v; a
-    direction spans an edge iff it is an extreme ray of the cone they
-    generate, i.e. not a non-negative combination of the other directions
-    (one exact feasibility LP), and the farthest point along it is the
-    neighbour across that edge.
+    direction spans an edge iff it is an extreme ray of the cone C they
+    generate, and the farthest point along it is the neighbour across that
+    edge.
+
+    Most directions are ruled out without an LP (_edge_candidates): a
+    direction d that is a positive multiple of y + z, for two differences
+    y = p - v and z = q - v with y not parallel to d, is no extreme ray.
+    C is pointed, since v is a vertex, and an extreme ray of C is a face; a
+    face that contains y + z contains both y and z, so d could only be
+    extreme if y were parallel to d, and then z = (y + z) - y is parallel
+    to d too.  (Without that condition, d + 2d = 3d would rule out true
+    edges.)  Hence every extreme ray survives the filter.  A pointed cone is
+    generated by its extreme rays, so the survivors generate C, and a
+    survivor is an extreme ray iff it is not a non-negative combination of
+    the other survivors: one exact feasibility LP with the other survivors
+    as columns.
     """
     points = tuple(sorted(set(map(tuple, points))))
     base, lattice, coords = lattice_coordinates(points)
@@ -148,18 +217,10 @@ def hull_structure(points) -> LatticePolytopeModel:
         v = stack.pop()
         if v in directions:
             continue
-        cv = coords[v]
-        farthest = {}  # primitive direction from v -> (multiple, point)
-        for p in points:
-            if p != v:
-                diff = [a - b for a, b in zip(coords[p], cv)]
-                k = gcd(*diff)
-                d = tuple(x // k for x in diff)
-                if d not in farthest or k > farthest[d][0]:
-                    farthest[d] = (k, p)
+        candidates = _edge_candidates(v, coords)
         neighbours = []
-        for d, (_, w) in farthest.items():
-            others = [g for g in farthest if g != d]
+        for d, (_, w) in candidates.items():
+            others = [g for g in candidates if g != d]
             if others and _feasible([[g[i] for g in others] for i in range(m)], list(d)):
                 continue
             neighbours.append((w, d))

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from togliatti import MonomialSystem, lattice_points_simplex, parse_system
+from togliatti import MonomialSystem, enumerate_minimal_smooth, lattice_points_simplex, parse_system
 from togliatti.lefschetz import quadric_pairs
 
 # The n=2 system S = (x0^3, x1^3, x2^3, x0*x1*x2): the unique minimal smooth
@@ -50,6 +50,13 @@ def p15():
 @pytest.fixture
 def p12():
     return parse_system(P12_TEXT, 3, 3)
+
+
+@pytest.fixture(scope="session")
+def minimal_smooth_n2_n3():
+    """enumerate_minimal_smooth(n) for n = 2, 3, run once per test session
+    for the tests that only read the classes."""
+    return {n: enumerate_minimal_smooth(n) for n in (2, 3)}
 
 
 def truncated_simplex_apolar(n):

@@ -12,6 +12,8 @@
   cross-check of the quadric criterion at small n.
 - Family membership by comparing canonical forms, the two S_{n+1} orbit
   scans that ``family.member_partition`` replaced.
+- The hull's edge rule before the pair-sum filter: one LP per primitive
+  direction at a vertex, against all the other directions.
 """
 
 import functools
@@ -19,7 +21,7 @@ import itertools
 from fractions import Fraction
 from math import gcd, inf
 
-from togliatti import lefschetz, linalg
+from togliatti import lefschetz, linalg, polytope
 from togliatti.errors import PreconditionError
 from togliatti.family import family_system, valid_partitions
 from togliatti.monomials import MonomialSystem, canonical_form
@@ -325,3 +327,42 @@ def member_partition_by_canonical_form(sys: MonomialSystem):
     if sys.d != 3:
         return None
     return _family_orbits(sys.n).get(canonical_form(sys).encoding())
+
+
+def unfiltered_hull_structure(points):
+    """ORACLE: ``polytope.hull_structure`` without the pair-sum filter.
+
+    The same edge walk, but every primitive direction at a vertex is decided
+    by one exact LP with all the other directions as columns.
+    """
+    points = tuple(sorted(set(map(tuple, points))))
+    base, lattice, coords = polytope.lattice_coordinates(points)
+    m = lattice.dimension
+    directions = {}
+    edges = set()
+    stack = [points[0]]
+    while stack:
+        v = stack.pop()
+        if v in directions:
+            continue
+        cv = coords[v]
+        farthest = {}  # primitive direction from v -> (multiple, point)
+        for p in points:
+            if p != v:
+                diff = [a - b for a, b in zip(coords[p], cv)]
+                k = gcd(*diff)
+                d = tuple(x // k for x in diff)
+                if d not in farthest or k > farthest[d][0]:
+                    farthest[d] = (k, p)
+        neighbours = []
+        for d, (_, w) in farthest.items():
+            others = [g for g in farthest if g != d]
+            if others and polytope._feasible([[g[i] for g in others] for i in range(m)], list(d)):
+                continue
+            neighbours.append((w, d))
+            edges.add((min(v, w), max(v, w)))
+            stack.append(w)
+        directions[v] = tuple(d for _, d in sorted(neighbours))
+    return polytope.LatticePolytopeModel(
+        points, base, lattice, coords, tuple(sorted(directions)), tuple(sorted(edges)), directions
+    )

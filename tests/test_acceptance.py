@@ -18,7 +18,6 @@ from togliatti import (
     build_gp,
     check_command,
     contains_all_simplex_vertices,
-    enumerate_minimal_smooth,
     equality_partitions,
     extract_partition,
     fails_wlp_in_degree_dminus1,
@@ -203,9 +202,9 @@ def test_criterion_8_geometry_oracle():
 
 
 @criterion(9, "structural propositions on every enumerated class")
-def test_criterion_9_structural_properties():
+def test_criterion_9_structural_properties(minimal_smooth_n2_n3):
     for n in (2, 3):
-        result = enumerate_minimal_smooth(n)
+        result = minimal_smooth_n2_n3[n]
         assert result.classes
         for rec in result.classes:
             assert build_gp(rec.sys).is_symmetric()

@@ -139,12 +139,12 @@ class TestEnumerateN2:
 
 
 class TestStructuralInvariants:
-    def test_enumerated_classes_satisfy_propositions(self):
+    def test_enumerated_classes_satisfy_propositions(self, minimal_smooth_n2_n3):
         from togliatti import contains_all_simplex_vertices, spans_full_lattice
         from togliatti.graphs import build_gp
 
         for n in (2, 3):
-            result = enumerate_minimal_smooth(n)
+            result = minimal_smooth_n2_n3[n]
             assert result.classes
             for rec in result.classes:
                 assert build_gp(rec.sys).is_symmetric()

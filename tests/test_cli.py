@@ -15,6 +15,8 @@ from togliatti.cli import (
     EXIT_USAGE,
     main,
 )
+from togliatti.family import family_system
+from togliatti.monomials import PartitionSpec
 
 import conftest
 
@@ -175,6 +177,10 @@ class TestBound:
         assert sorted(tuple(r["partition"]) for r in top) == [
             (1, 1, 1, 1, 1), (3, 1, 1)
         ]
+        # beta is the family system's apolar count
+        for r in rows:
+            fam = family_system(PartitionSpec.from_parts(r["partition"]))
+            assert r["beta"] == fam.beta == len(fam.sys.apolar)
 
     def test_text_table_has_header(self, capsys):
         code, out, _ = run_cli(["bound", "--n-max", "3"], capsys)

@@ -48,7 +48,7 @@ class TestMuFormula:
             for spec in valid_partitions(n):
                 fam = family_system(spec)
                 assert len(fam.sys.generators) == mu_formula(spec) == fam.mu
-                assert fam.beta == comb(n + 3, 3) - fam.mu
+                assert fam.beta == comb(n + 3, 3) - fam.mu == len(fam.sys.apolar)
 
 
 class TestFamilySystem:

@@ -167,6 +167,22 @@ def assert_matches_oracle(pts):
         assert model.directions[v] == expected, (pts, v)
 
 
+def collinear_ray_sets():
+    """Points at 1..3 steps along a few rays from a centre, plus the centre:
+    only the farthest point on each edge ray is a vertex."""
+    rng = random.Random(8080)
+    for _ in range(25):
+        dim = rng.randint(1, 3)
+        centre = tuple(rng.randint(-2, 2) for _ in range(dim))
+        pts = {centre}
+        for _ in range(rng.randint(1, 4)):
+            ray = tuple(rng.randint(-2, 2) for _ in range(dim))
+            if any(ray):
+                for k in range(1, rng.randint(2, 4)):
+                    pts.add(tuple(c + k * r for c, r in zip(centre, ray)))
+        yield sorted(pts)
+
+
 class TestEdgeWalkMatchesOracle:
     """The edge walk against the brute-force facet enumeration."""
 
@@ -186,24 +202,79 @@ class TestEdgeWalkMatchesOracle:
         assert_matches_oracle([(1, 2, 0)])
 
     def test_collinear_points_on_several_rays(self):
-        # points at 1..3 steps along a few rays from a centre, plus the centre:
-        # only the farthest point on each edge ray is a vertex
-        rng = random.Random(8080)
-        for _ in range(25):
-            dim = rng.randint(1, 3)
-            centre = tuple(rng.randint(-2, 2) for _ in range(dim))
-            pts = {centre}
-            for _ in range(rng.randint(1, 4)):
-                ray = tuple(rng.randint(-2, 2) for _ in range(dim))
-                if any(ray):
-                    for k in range(1, rng.randint(2, 4)):
-                        pts.add(tuple(c + k * r for c, r in zip(centre, ray)))
-            assert_matches_oracle(sorted(pts))
+        for pts in collinear_ray_sets():
+            assert_matches_oracle(pts)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_family_members(self, n):
         for spec in valid_partitions(n):
             assert_matches_oracle(family_system(spec).sys.apolar)
+
+
+def assert_oracle_edges_survive(pts):
+    """At every oracle vertex, each oracle edge's primitive direction
+    survives the pair-sum filter, with the neighbour as its farthest point."""
+    _, edges = oracle_hull(pts)
+    _, _, coords = lattice_coordinates(pts)
+    candidates = {}
+    for e in edges:
+        for v, w in (e, e[::-1]):
+            if v not in candidates:
+                candidates[v] = polytope._edge_candidates(v, coords)
+            d = primitive_difference(coords[w], coords[v])
+            assert d in candidates[v], (pts, v, w)
+            assert candidates[v][d][1] == w, (pts, v, w)
+
+
+class TestPairSumFilter:
+    """polytope._edge_candidates never drops an edge."""
+
+    def test_random_sets_dims_1_to_4(self):
+        rng = random.Random(9191)
+        for dim in range(1, 5):
+            for _ in range(15):
+                count = rng.randint(2, 5 if dim == 1 else 9)
+                assert_oracle_edges_survive(random_point_set(rng, dim, count))
+
+    def test_collinear_points_on_several_rays(self):
+        for pts in collinear_ray_sets():
+            assert_oracle_edges_survive(pts)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_family_members(self, n):
+        for spec in valid_partitions(n):
+            assert_oracle_edges_survive(family_system(spec).sys.apolar)
+
+    @pytest.mark.parametrize("pts", [
+        # (1,1), (1,2) and (2,1) are sums of two non-parallel differences
+        [(x, y) for x in range(3) for y in range(3)],
+        # (1,1) is half of (2,0) + (0,2): a multiple k*d with k = 2
+        [(0, 0), (2, 0), (0, 2), (1, 1)],
+    ])
+    def test_corner_keeps_only_its_edges(self, pts):
+        # only the two edges at (0,0) are left for an LP
+        _, _, coords = lattice_coordinates(pts)
+        corner = (0, 0)
+        expected = {primitive_difference(coords[w], coords[corner]) for w in [(2, 0), (0, 2)]}
+        assert set(polytope._edge_candidates(corner, coords)) == expected
+
+
+class TestHullMatchesUnfilteredOracle:
+    """hull_structure against an LP per direction with all others as columns."""
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_family_members(self, n):
+        for spec in valid_partitions(n):
+            pts = family_system(spec).sys.apolar
+            assert hull_structure(pts) == oracles.unfiltered_hull_structure(pts), spec
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_random_subsets_of_3_delta(self, n):
+        rng = random.Random(500 + n)
+        points = lattice_points_simplex(n, 3)
+        for _ in range(40):
+            pts = rng.sample(points, rng.randint(1, len(points)))
+            assert hull_structure(pts) == oracles.unfiltered_hull_structure(pts), pts
 
 
 class TestSmoothness:
