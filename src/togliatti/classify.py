@@ -1,10 +1,15 @@
 """Exhaustive search for minimal smooth cubic systems and the full-report checker.
 
-The search fixes the pure cubes inside S, iterates over subsets of the
-remaining monomials up to the cardinality bound, filters by the quadric
-criterion (dimension exactly one, unique quadric missing every generator
-point), deduplicates by canonical form and finally certifies smoothness and
-cross-validates the WLP failure through the multiplication map.
+The search is orbit-first.  It takes one digraph G_P per isomorphism class
+(orderly generation), which fixes the mixed squares x_i^2 x_j of P; the pure
+cubes always go to S.  A depth-first search then puts each squarefree
+monomial into P or S, eliminating the quadric-evaluation rows of P
+incrementally in exact integer arithmetic and cutting every branch that can
+no longer meet the quadric criterion (quadric space of dimension exactly
+one, unique quadric missing every generator) or the cardinality bound.  The
+minimal leaves are deduplicated by canonical form; smoothness is certified
+on the new orbits, and the WLP failure of each class is cross-validated
+through the multiplication map.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from . import graphs, lefschetz, polytope
+from . import graphs, lefschetz, linalg, polytope
 from .errors import (
     BudgetExhaustedError,
     InternalError,
@@ -51,59 +56,225 @@ def enumerate_minimal_smooth(n: int, budget: Optional[float] = None) -> Classifi
     """All minimal smooth cubic systems within the cardinality bound, one
     canonical rep per class; budget is in seconds, None for unlimited.
 
-    Deterministic: candidates are visited in sorted subset order and classes
-    are returned in canonical-encoding order.
+    With R_P the quadric-evaluation rows of the apolar set P and
+    N = C(n+2,2), a system is minimal iff rank R_P = N - 1 and no generator
+    row lies in the span of R_P (the unique quadric q vanishes at s iff
+    row(s) . q = 0, iff row(s) is in the span).  The pure cubes go to S.
+
+    Symmetry: relabelling the variables by sigma keeps a system minimal,
+    smooth and within the bound, and G_{sigma P} = sigma(G_P), where G_P
+    has the arc (i, j) iff x_i^2 x_j is in P.  So every orbit has a member
+    whose G_P is a canonical digraph (_canonical_digraphs), and the search
+    takes those only, which fixes the mixed squares.  G_P up to relabelling
+    is an orbit invariant: leaves under two digraphs are never in one orbit.
+
+    Under each digraph a DFS puts the squarefree points into P or S in
+    turn, keeping every other point's row reduced modulo the span of the P
+    rows (_reduce).  P only grows along a branch, and so does the span;
+    hence no prune cuts a minimal system:
+    - a point already in the span is forced into P (in S it would stay in
+      the span);
+    - a branch ends when a generator enters the span (it stays there), when
+      the rank reaches N (it stays N), when the rank can no longer reach
+      N - 1 (each undecided point adds at most one), or when |S| exceeds
+      lefschetz.cardinality_bound (S only grows).
+    A leaf has no generator in the span, so it is minimal iff its rank is
+    N - 1.  Minimal leaves are deduplicated by canonical_form, new orbits
+    go through smoothness_check and the smooth ones are certified.
+
+    stats:
+    - digraphs: canonical digraphs searched (one whose S already holds
+      more than the bound is skipped); nodes: DFS nodes entered;
+    - candidates: branches that end at a quadric verdict, the sum of the
+      next two counters and the minimal leaves;
+    - quadric_filtered: branches where the rank reached N or could no
+      longer reach N - 1, and leaves of rank below N - 1;
+    - minimality_filtered: branches cut by a generator entering the span,
+      where the quadric would vanish;
+    - duplicate_orbit: minimal leaves of an orbit already found;
+    - smoothness_filtered: minimal orbits that are not smooth.
+
+    When the budget runs out, BudgetExhaustedError carries the classes and
+    counters so far and the digraphs done out of the total (None while the
+    digraphs are being generated).  Digraphs and DFS run in a fixed order;
+    classes come in canonical-encoding order.
     """
     if n < 2:
         raise InvalidArgumentError(f"n must be >= 2, got {n}")
-    start = time.monotonic()
-
-    all_points = lattice_points_simplex(n, 3)
-    cubes = [m for m in all_points if max(m) == 3]
-    pool = [m for m in all_points if max(m) < 3]
-    max_extra = lefschetz.cardinality_bound(n, 3) - len(cubes)
-
-    stats = {
-        "candidates": 0,
-        "quadric_filtered": 0,
-        "minimality_filtered": 0,
-        "duplicate_orbit": 0,
-        "smoothness_filtered": 0,
-    }
+    deadline = None if budget is None else time.monotonic() + budget
+    stats = dict.fromkeys(
+        ("candidates", "quadric_filtered", "minimality_filtered", "duplicate_orbit",
+         "smoothness_filtered", "digraphs", "nodes"),
+        0,
+    )
     survivors = {}
-    rejected_orbits = set()  # canonical reps already found non-smooth
-    for k in range(max_extra + 1):
-        for extras in itertools.combinations(pool, k):
-            if budget is not None and time.monotonic() - start > budget:
-                raise BudgetExhaustedError(
-                    f"budget of {budget}s exhausted after "
-                    f"{stats['candidates']} candidates",
-                    partial=ClassificationResult(n, _finalize(survivors), stats),
-                )
-            stats["candidates"] += 1
-            gens = cubes + list(extras)
-            gen_set = set(gens)
-            apolar = [m for m in all_points if m not in gen_set]
-            space = lefschetz.quadric_space(apolar, n)
-            if len(space) != 1:
-                stats["quadric_filtered"] += 1
-                continue
-            quadric = space[0]
-            if any(quadric.evaluate(p) == 0 for p in gens):
-                stats["minimality_filtered"] += 1
-                continue
-            sys = MonomialSystem.from_generators(n, 3, gens)
-            rep = canonical_form(sys)
-            if rep.encoding() in survivors or rep.encoding() in rejected_orbits:
+
+    def exhausted(total):
+        return BudgetExhaustedError(
+            f"budget of {budget}s exhausted after {stats['digraphs']} of "
+            f"{'?' if total is None else total} digraphs",
+            partial=ClassificationResult(n, _finalize(survivors), dict(stats)),
+            progress={"digraphs_done": stats["digraphs"], "digraphs_total": total},
+        )
+
+    n1 = n + 1
+    digraphs = _canonical_digraphs(n1, deadline)
+    if digraphs is None:
+        raise exhausted(None)
+
+    points = lattice_points_simplex(n, 3)
+    rows = {p: linalg._primitive(lefschetz.quadric_evaluation_row(p)) for p in points}
+    cubes = [p for p in points if max(p) == 3]
+    mixed = [p for p in points if max(p) == 2]
+    squarefree = [p for p in points if max(p) == 1]
+    bound = lefschetz.cardinality_bound(n, 3)
+    rejected = set()  # canonical encodings of the minimal orbits that are not smooth
+    # A digraph's residuals are its parent's with one more mixed square in
+    # the span, and the parent comes first: keep those of the ancestors.
+    # (digraph, N - rank of its P rows, residual of each point outside its P)
+    ancestors = [((), len(lefschetz.quadric_pairs(n1)), rows)]
+    for graph in digraphs:
+        if deadline is not None and time.monotonic() > deadline:
+            raise exhausted(len(digraphs))
+        while ancestors[-1][0] != graph[:-1]:
+            ancestors.pop()
+        _, k, residual = ancestors[-1]
+        if graph:
+            square = graphs._mixed_square(*graph[-1], n1)
+            k -= any(residual[square])
+            residual = _add_to_span(residual, square)
+            ancestors.append((graph, k, residual))
+        stats["digraphs"] += 1
+        mixed_s = list(filter(residual.__contains__, mixed))  # the P ones have left it
+        if len(cubes) + len(mixed_s) > bound:
+            continue
+        for extra in _squarefree_leaves(k, residual, cubes + mixed_s, squarefree, bound, stats):
+            apolar = [graphs._mixed_square(i, j, n1) for i, j in graph] + list(extra)
+            rep = canonical_form(MonomialSystem.from_apolar(n, 3, apolar))
+            key = rep.encoding()
+            if key in survivors or key in rejected:
                 stats["duplicate_orbit"] += 1
                 continue
             cert = polytope.smoothness_check(rep.apolar)
             if not cert.smooth:
                 stats["smoothness_filtered"] += 1
-                rejected_orbits.add(rep.encoding())
+                rejected.add(key)
                 continue
-            survivors[rep.encoding()] = _certify_class(rep, cert)
+            survivors[key] = _certify_class(rep, cert)
     return ClassificationResult(n, _finalize(survivors), stats)
+
+
+def _canonical_digraphs(n1: int, deadline: Optional[float]) -> Optional[list]:
+    """One digraph per S_{n1} orbit, as the sorted tuple of its arcs (i, j);
+    None once the deadline passes.
+
+    A digraph is canonical when its sorted arc tuple is lexicographically
+    smallest among its relabellings.  With the arcs indexed in lex order,
+    that is, among sets of one size, the one whose mask, with arc 0 the
+    most significant bit, is largest.  Dropping the largest arc of a
+    canonical digraph leaves a canonical one: if a relabelling made the
+    shorter tuple smaller, it would make the full tuple smaller too, since
+    adding an arc to a set lowers no entry of its sorted tuple.  So
+    extending canonical digraphs by an arc above all of theirs and keeping
+    the canonical extensions reaches each canonical digraph exactly once
+    (orderly generation).  Each digraph carries its mask under every
+    relabelling, so testing an extension costs one addition per
+    relabelling.  The list is in preorder: a digraph's parent, the digraph
+    without its largest arc, comes before it.
+    """
+    arcs = [(i, j) for i in range(n1) for j in range(n1) if i != j]
+    top = len(arcs) - 1
+    index = {arc: a for a, arc in enumerate(arcs)}
+    perms = list(itertools.permutations(range(n1)))  # perms[0] is the identity
+    # bit[a][k]: the bit of arc a under the k-th relabelling
+    bit = [[1 << (top - index[p[i], p[j]]) for p in perms] for i, j in arcs]
+    found = []
+    for graph in _orderly_extensions((), [0] * len(perms), bit):
+        if deadline is not None and time.monotonic() > deadline:
+            return None
+        found.append(tuple(map(arcs.__getitem__, graph)))
+    return found
+
+
+def _orderly_extensions(graph, images, bit):
+    """graph, then in preorder its canonical extensions by arcs above its
+    own; images holds graph's mask under each relabelling, its own first."""
+    yield graph
+    for a in range(graph[-1] + 1 if graph else 0, len(bit)):
+        child = [x + y for x, y in zip(images, bit[a])]
+        if max(child) == child[0]:
+            yield from _orderly_extensions(graph + (a,), child, bit)
+
+
+def _reduce(vectors, e):
+    """Yield each primitive vector modulo the span grown by the nonzero
+    residual e: e's first nonzero column is eliminated from it and the
+    result made primitive (linalg._primitive).  A vector that is zero in
+    that column is already reduced and comes back as it is."""
+    pv = next(filter(None, e))
+    j = e.index(pv)
+    for v in vectors:
+        f = v[j]
+        yield linalg._primitive([pv * a - f * b for a, b in zip(v, e)]) if f else v
+
+
+def _add_to_span(residual: dict, point) -> dict:
+    """The residual of every other point once point's row joins the span."""
+    residual = dict(residual)
+    e = residual.pop(point)
+    if any(e):
+        residual = dict(zip(residual, _reduce(residual.values(), e)))
+    return residual
+
+
+def _squarefree_leaves(k, residual: dict, generators, squarefree, bound, stats) -> list:
+    """The minimal completions of one digraph: tuples of the squarefree
+    points that join P.
+
+    k is N minus the rank of the digraph's P rows, the dimension of its
+    quadric space.  residual holds each point outside P modulo the span of
+    those rows, as a primitive vector; generators are the points already in
+    S.  Adding a point with residual e to the span brings a generator in
+    exactly when the generator's residual is a multiple of e, that is equal
+    to e, since both are primitive with a positive leading entry.  The
+    prunes and the counters are enumerate_minimal_smooth's.
+    """
+    leaves = []
+    gens = set(map(residual.get, generators))
+    if k == 0 or not all(map(any, gens)):
+        stats["candidates"] += 1
+        stats["quadric_filtered" if k == 0 else "minimality_filtered"] += 1
+        return leaves
+    # a node: (k, the generators' residuals, the residuals of the undecided
+    # points, the last len(free) of squarefree, |S|, the squarefree points in P)
+    stack = [(k, gens, list(map(residual.get, squarefree)), len(generators), ())]
+    while stack:
+        k, gens, free, size, chosen = stack.pop()
+        stats["nodes"] += 1
+        ended = None
+        if k - 1 > len(free):
+            ended = "quadric_filtered"
+        elif not free:
+            leaves.append(chosen)
+        else:
+            point, e, rest = squarefree[-len(free)], free[0], free[1:]
+            if not any(e):  # forced: in the span already
+                stack.append((k, gens, rest, size, chosen + (point,)))
+                continue
+            if size < bound:
+                stack.append((k, gens | {e}, rest, size + 1, chosen))
+            if k == 1:  # the rank would reach N
+                ended = "quadric_filtered"
+            elif e in gens:
+                ended = "minimality_filtered"
+            else:
+                stack.append((k - 1, set(_reduce(gens, e)), list(_reduce(rest, e)),
+                              size, chosen + (point,)))
+                continue
+        stats["candidates"] += 1
+        if ended:
+            stats[ended] += 1
+    return leaves
 
 
 def _finalize(survivors):
@@ -271,6 +442,16 @@ def class_summary(rec: ClassRecord) -> dict:
     }
 
 
+def budget_progress(exc: BudgetExhaustedError) -> dict:
+    """How far a search got before its budget ran out: the classes found so
+    far, the counters, and the digraphs done out of the total."""
+    return {
+        "classes_found_so_far": len(exc.partial.classes),
+        "stats": exc.partial.stats,
+        **exc.progress,
+    }
+
+
 def verify_theorem(n: int, budget: Optional[float] = None) -> dict:
     """Machine verification of the classification at a given n.
 
@@ -284,6 +465,7 @@ def verify_theorem(n: int, budget: Optional[float] = None) -> dict:
     except BudgetExhaustedError as exc:
         report["status"] = "inconclusive"
         report["failures"].append(str(exc))
+        report.update(budget_progress(exc))
         return report
 
     # each class knows the family member it is, if any

@@ -98,9 +98,7 @@ def cmd_enumerate(args) -> int:
     try:
         result = classify.enumerate_minimal_smooth(args.n, args.budget)
     except BudgetExhaustedError as exc:
-        payload = {"status": "inconclusive", "reason": str(exc)}
-        if exc.partial is not None:
-            payload["classes_found_so_far"] = len(exc.partial.classes)
+        payload = {"status": "inconclusive", "reason": str(exc), **classify.budget_progress(exc)}
         _emit(payload, args.json)
         return EXIT_INCONCLUSIVE
     payload = {

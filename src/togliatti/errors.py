@@ -36,8 +36,10 @@ class InternalError(TogliattiError):
 
 
 class BudgetExhaustedError(TogliattiError):
-    """Search budget ran out; carries partial progress."""
+    """Search budget ran out; carries the partial result and how far the
+    search got."""
 
-    def __init__(self, message, partial=None):
+    def __init__(self, message, partial=None, progress=None):
         super().__init__(message)
         self.partial = partial
+        self.progress = progress

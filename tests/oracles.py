@@ -14,6 +14,9 @@
   scans that ``family.member_partition`` replaced.
 - The hull's edge rule before the pair-sum filter: one LP per primitive
   direction at a vertex, against all the other directions.
+- The subset search that the orbit-first search in
+  ``classify.enumerate_minimal_smooth`` replaced: every artinian S within
+  the cardinality bound, one quadric kernel each.
 """
 
 import functools
@@ -24,7 +27,7 @@ from math import gcd, inf
 from togliatti import lefschetz, linalg, polytope
 from togliatti.errors import PreconditionError
 from togliatti.family import family_system, valid_partitions
-from togliatti.monomials import MonomialSystem, canonical_form
+from togliatti.monomials import MonomialSystem, canonical_form, lattice_points_simplex
 
 
 def fraction_rref(rows, ncols=None):
@@ -366,3 +369,51 @@ def unfiltered_hull_structure(points):
     return polytope.LatticePolytopeModel(
         points, base, lattice, coords, tuple(sorted(directions)), tuple(sorted(edges)), directions
     )
+
+
+def bruteforce_minimal_orbits(n):
+    """ORACLE: the minimal orbits by the subset search, split by smoothness.
+
+    Every S made of the pure cubes and other cubic monomials, up to
+    ``lefschetz.cardinality_bound`` in all, in sorted subset order: kept when
+    the quadric space of its apolar set is one-dimensional and the unique
+    quadric misses every generator, then deduplicated by canonical form.
+    Returns (smooth, non_smooth, stats): the canonical encodings of the
+    smooth and of the non-smooth minimal orbits, and the subset search's
+    counters (candidates, quadric_filtered, minimality_filtered,
+    duplicate_orbit, smoothness_filtered).
+    """
+    all_points = lattice_points_simplex(n, 3)
+    cubes = [m for m in all_points if max(m) == 3]
+    pool = [m for m in all_points if max(m) < 3]
+    max_extra = lefschetz.cardinality_bound(n, 3) - len(cubes)
+    stats = dict.fromkeys(
+        ("candidates", "quadric_filtered", "minimality_filtered", "duplicate_orbit",
+         "smoothness_filtered"),
+        0,
+    )
+    smooth, non_smooth = set(), set()
+    for k in range(max_extra + 1):
+        for extras in itertools.combinations(pool, k):
+            stats["candidates"] += 1
+            gens = cubes + list(extras)
+            gen_set = set(gens)
+            apolar = [m for m in all_points if m not in gen_set]
+            space = lefschetz.quadric_space(apolar, n)
+            if len(space) != 1:
+                stats["quadric_filtered"] += 1
+                continue
+            if any(space[0].evaluate(p) == 0 for p in gens):
+                stats["minimality_filtered"] += 1
+                continue
+            rep = canonical_form(MonomialSystem.from_generators(n, 3, gens))
+            key = rep.encoding()
+            if key in smooth or key in non_smooth:
+                stats["duplicate_orbit"] += 1
+                continue
+            if polytope.smoothness_check(rep.apolar).smooth:
+                smooth.add(key)
+            else:
+                stats["smoothness_filtered"] += 1
+                non_smooth.add(key)
+    return smooth, non_smooth, stats

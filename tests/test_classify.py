@@ -1,5 +1,8 @@
 """Enumeration, the full-report checker, and theorem verification."""
 
+import itertools
+import types
+
 import pytest
 
 from togliatti import (
@@ -9,12 +12,17 @@ from togliatti import (
     enumerate_minimal_smooth,
     verify_theorem,
 )
-from togliatti import classify, lefschetz
+from togliatti import classify, lefschetz, polytope
 from togliatti.family import family_system
-from togliatti.monomials import PartitionSpec, canonical_form, parse_system
+from togliatti.monomials import MonomialSystem, PartitionSpec, canonical_form, parse_system
 
 import conftest
-from oracles import minimality_by_subset_definition
+from oracles import bruteforce_minimal_orbits, minimality_by_subset_definition
+
+STATS_KEYS = (
+    "candidates", "quadric_filtered", "minimality_filtered", "duplicate_orbit",
+    "smoothness_filtered", "digraphs", "nodes",
+)
 
 
 class TestEnumerateN2:
@@ -132,10 +140,89 @@ class TestEnumerateN2:
         with pytest.raises(InvalidArgumentError):
             enumerate_minimal_smooth(1)
 
-    def test_budget_exhaustion(self):
+    def test_budget_exhaustion(self, monkeypatch):
+        # a zero budget runs out while the digraphs are generated: no total
         with pytest.raises(BudgetExhaustedError) as err:
             enumerate_minimal_smooth(3, budget=0.0)
         assert err.value.partial is not None
+        assert err.value.partial.stats == dict.fromkeys(STATS_KEYS, 0)
+        assert err.value.progress == {"digraphs_done": 0, "digraphs_total": None}
+        assert "after 0 of ? digraphs" in str(err.value)
+        # a clock that ticks once per reading runs out in the middle of the
+        # digraphs: the counters so far and the digraphs done of all 218
+        ticks = itertools.count()
+        monkeypatch.setattr(classify, "time", types.SimpleNamespace(monotonic=lambda: next(ticks)))
+        generate = classify._canonical_digraphs
+        monkeypatch.setattr(classify, "_canonical_digraphs", lambda n1, deadline: generate(n1, None))
+        with pytest.raises(BudgetExhaustedError) as err:
+            enumerate_minimal_smooth(3, budget=150)
+        stats, progress = err.value.partial.stats, err.value.progress
+        assert progress == {"digraphs_done": stats["digraphs"], "digraphs_total": 218}
+        assert 0 < stats["digraphs"] < 218
+        assert 0 < stats["nodes"] and 0 < stats["candidates"]
+        assert f"after {stats['digraphs']} of 218 digraphs" in str(err.value)
+        full = enumerate_minimal_smooth(3).stats
+        assert all(stats[key] <= full[key] for key in STATS_KEYS)
+
+
+class TestMatchesBruteForceOracle:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_same_minimal_orbits(self, n, monkeypatch):
+        # the orbit-first search finds the subset search's smooth classes,
+        # and sends the same non-smooth minimal orbits to smoothness_check
+        smooth, non_smooth, old_stats = bruteforce_minimal_orbits(n)
+        verdicts = {}
+        check = polytope.smoothness_check
+
+        def recording_check(points):
+            cert = check(points)
+            verdicts[MonomialSystem.from_apolar(n, 3, points).encoding()] = cert.smooth
+            return cert
+
+        monkeypatch.setattr(polytope, "smoothness_check", recording_check)
+        result = enumerate_minimal_smooth(n)
+        assert {rec.sys.encoding() for rec in result.classes} == smooth
+        assert {key for key, ok in verdicts.items() if ok} == smooth
+        assert {key for key, ok in verdicts.items() if not ok} == non_smooth
+        stats = result.stats
+        assert stats["smoothness_filtered"] == old_stats["smoothness_filtered"] == len(non_smooth)
+        survivors = stats["candidates"] - stats["quadric_filtered"] - stats["minimality_filtered"]
+        assert survivors - stats["duplicate_orbit"] == len(smooth) + len(non_smooth)
+        if n == 3:
+            assert len(smooth) == 3 and len(non_smooth) == 19
+            assert stats["digraphs"] == 218
+            # the oracle is the subset search whose counters the n=3
+            # goldens held
+            assert old_stats == {
+                "candidates": 14893,
+                "quadric_filtered": 10867,
+                "minimality_filtered": 3760,
+                "duplicate_orbit": 244,
+                "smoothness_filtered": 19,
+            }
+
+
+class TestCanonicalDigraphs:
+    def test_canonical_digraph_counts(self):
+        # digraphs on 3, 4 and 5 vertices up to relabelling (OEIS A000273)
+        for n1, count in ((3, 16), (4, 218), (5, 9608)):
+            found = classify._canonical_digraphs(n1, None)
+            assert len(found) == len(set(found)) == count
+
+    @pytest.mark.parametrize("n1", [3, 4])
+    def test_canonical_digraphs_are_the_orbit_minima(self, n1):
+        # every digraph's lex-smallest relabelling is found, and nothing else
+        arcs = [(i, j) for i in range(n1) for j in range(n1) if i != j]
+        perms = list(itertools.permutations(range(n1)))
+        minima = set()
+        for mask in range(1 << len(arcs)):
+            graph = [arcs[a] for a in range(len(arcs)) if mask >> a & 1]
+            minima.add(min(tuple(sorted((p[i], p[j]) for i, j in graph)) for p in perms))
+        found = classify._canonical_digraphs(n1, None)
+        assert set(found) == minima
+        # preorder: each digraph's parent comes before it
+        position = {graph: k for k, graph in enumerate(found)}
+        assert all(position[graph[:-1]] < position[graph] for graph in found if graph)
 
 
 class TestStructuralInvariants:

@@ -27,6 +27,23 @@ def run_cli(argv, capsys):
     return code, captured.out, captured.err
 
 
+def digraphs_ignore_the_deadline(monkeypatch):
+    """Let the digraph generation finish, so a zero budget runs out at the
+    first digraph of the search, with the total known."""
+    generate = classify._canonical_digraphs
+    monkeypatch.setattr(classify, "_canonical_digraphs", lambda n1, deadline: generate(n1, None))
+
+
+def assert_budget_progress(payload, total):
+    # out of budget before the first digraph is searched
+    assert payload["digraphs_done"] == 0
+    assert payload["digraphs_total"] == total
+    assert payload["classes_found_so_far"] == 0
+    assert payload["stats"] == dict.fromkeys(
+        ["candidates", "quadric_filtered", "minimality_filtered", "duplicate_orbit",
+         "smoothness_filtered", "digraphs", "nodes"], 0)
+
+
 @pytest.fixture
 def bk_file(tmp_path):
     path = tmp_path / "bk.txt"
@@ -134,12 +151,16 @@ class TestEnumerate:
         assert cls["size"] == 4
         assert cls["smooth"] is True
 
-    def test_budget_exhausted_inconclusive(self, capsys):
-        code, out, _ = run_cli(
-            ["enumerate", "--n", "3", "--budget", "0.0", "--json"], capsys
-        )
-        assert code == EXIT_INCONCLUSIVE
-        assert json.loads(out)["status"] == "inconclusive"
+    def test_budget_exhausted_inconclusive(self, monkeypatch, capsys):
+        argv = ["enumerate", "--n", "3", "--budget", "0.0", "--json"]
+        for total in (None, 218):
+            code, out, _ = run_cli(argv, capsys)
+            assert code == EXIT_INCONCLUSIVE
+            payload = json.loads(out)
+            assert payload["status"] == "inconclusive"
+            assert payload["reason"].startswith("budget of 0.0s exhausted")
+            assert_budget_progress(payload, total)
+            digraphs_ignore_the_deadline(monkeypatch)
 
     def test_json_output_stable(self, capsys):
         outputs = []
@@ -196,12 +217,16 @@ class TestVerify:
         assert payload["status"] == "pass"
         assert payload["class_count"] == 1
 
-    def test_budget_inconclusive(self, capsys):
-        code, out, _ = run_cli(
-            ["verify", "--n", "3", "--budget", "0.0", "--json"], capsys
-        )
-        assert code == EXIT_INCONCLUSIVE
-        assert json.loads(out)["status"] == "inconclusive"
+    def test_budget_inconclusive(self, monkeypatch, capsys):
+        argv = ["verify", "--n", "3", "--budget", "0.0", "--json"]
+        for total in (None, 218):
+            code, out, _ = run_cli(argv, capsys)
+            assert code == EXIT_INCONCLUSIVE
+            payload = json.loads(out)
+            assert payload["status"] == "inconclusive"
+            assert payload["failures"][0].startswith("budget of 0.0s exhausted")
+            assert_budget_progress(payload, total)
+            digraphs_ignore_the_deadline(monkeypatch)
 
     def test_bound_violation_exits_one(self, monkeypatch, capsys):
         monkeypatch.setattr(classify, "generator_bound", lambda n: 3)

@@ -1,7 +1,10 @@
 """Static checks on the package source: no rational arithmetic, no dead code.
 
 Every verdict is computed in integer arithmetic, so no module of the package
-imports ``fractions``; the Fraction references live in tests/oracles.py.  A
+imports ``fractions``; the Fraction references live in tests/oracles.py.
+The package has no dependencies and imports only the standard-library
+modules in STDLIB_ALLOWED, so a new import (``multiprocessing``, say) is a
+decision made here, with its start-up time and memory in view.  A
 top-level import that nothing in its module uses is dead code, and so is a
 public top-level function or class, or a public method of such a class, that
 nothing in the package (outside its own definition) or the benchmark refers
@@ -18,6 +21,21 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "togliatti"
 MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+STDLIB_ALLOWED = {
+    "__future__", "argparse", "collections", "dataclasses", "functools", "itertools", "json",
+    "math", "re", "sys", "time", "typing",
+}
+
+
+def external_imports(tree):
+    """Top-level names of the modules tree imports from outside its package."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
 
 
 def imported_modules(tree):
@@ -93,6 +111,23 @@ def test_modules_found():
 def test_no_fractions_import(path):
     tree = ast.parse(path.read_text())
     assert "fractions" not in set(imported_modules(tree))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_imports_only_allowed_stdlib_modules(path):
+    assert set(external_imports(ast.parse(path.read_text()))) <= STDLIB_ALLOWED
+
+
+def test_import_outside_allowlist_is_reported():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import itertools, multiprocessing.pool\n"
+        "from . import linalg\n"
+        "from .errors import ParseError\n"
+        "from concurrent.futures import ProcessPoolExecutor\n"
+        "def f():\n    import numpy as np\n    from math import comb\n"
+    )
+    assert set(external_imports(tree)) - STDLIB_ALLOWED == {"multiprocessing", "concurrent", "numpy"}
 
 
 @pytest.mark.parametrize(
