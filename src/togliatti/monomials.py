@@ -8,7 +8,6 @@ sorted encoding.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 
@@ -164,15 +163,63 @@ def canonical_form(sys: MonomialSystem) -> MonomialSystem:
     """Lexicographically smallest encoding of sys over all coordinate permutations.
 
     Two systems are equivalent under relabelling of variables iff their
-    canonical forms are equal.  Full orbit enumeration over S_{n+1}; fine for
-    the desk-scale n this library targets.
+    canonical forms are equal.  A relabelling puts variable v_p at position
+    p, sending m to (m[v_0], ..., m[v_n]).  The search fixes v_n, v_{n-1},
+    ..., v_0 in turn and returns the least encoding over S_{n+1} without
+    visiting all of it, resting on three facts.
+
+    1. Block order.  Each monomial supported on positions {k..n} is smaller
+       than each one with a nonzero exponent before k: up to the first
+       nonzero exponent of the second, the first is zero too.  The former
+       are exactly the monomials below e = (0, ..., 1 at k-1, ..., 0).  So
+       once v_k..v_n are fixed, the image's members below e, those of the m
+       supported on {v_k..v_n}, are fixed, and they are the start of the
+       sorted image.
+    2. Set comparison.  For |A| = |B|, sorted(A) < sorted(B) iff the least
+       element x of A ^ B is in A: below x the two agree, and then A lists x
+       while B lists something larger.  So the least encoding has the
+       lexicographically largest membership vector over all monomials in
+       ascending order, a 1 earlier being better, and by fact 1 the part
+       below e is a prefix of that vector.  At each level only the partial
+       assignments whose part wins can lead to the least encoding; ties are
+       all kept.  Parts of different sizes compare the same way: a part that
+       is a proper prefix of another loses to it, since the longer one has a
+       1 where the shorter has a 0, which is the reverse of how Python
+       compares the tuples.  So each sorted part ends in a sentinel above
+       every monomial before the parts compare.
+    3. Merging.  Represent a partial assignment by the relabelling that puts
+       its free variables at positions 0..k-1 in increasing order.  Every
+       completion is that relabelling followed by a permutation of positions
+       0..k-1, so two partial assignments whose representatives give the
+       same image set have the same completions' images, and one of them is
+       enough.  Symmetric variables collapse this way: a fully symmetric S
+       keeps one assignment per level.
     """
-    best = None
-    for perm in itertools.permutations(range(sys.n + 1)):
-        gens = tuple(sorted(_apply_perm(m, perm) for m in sys.generators))
-        if best is None or gens < best:
-            best = gens
-    return MonomialSystem.from_generators(sys.n, sys.d, best)
+    n, gens = sys.n, sys.generators
+    sentinel = (sys.d + 1,)  # above every monomial
+    level = [()]  # tails (v_k, ..., v_n) still in the race
+    for k in range(n, -1, -1):
+        # e of fact 1: the image's members below it are fixed at this level
+        bound = (0,) * (k - 1) + (1,) + (0,) * (n + 1 - k) if k else sentinel
+        best, kept = None, {}
+        for tail in level:
+            for v in range(n + 1):
+                if v in tail:
+                    continue
+                head = (v,) + tail
+                order = (*[u for u in range(n + 1) if u not in head], *head)
+                # tuple(list), not tuple(generator): the latter allocates spare
+                # slots and shrinks, so freed tuples pile up in the free lists
+                images = frozenset(tuple([m[u] for u in order]) for m in gens)
+                part = sorted(t for t in images if t < bound)
+                part.append(sentinel)
+                if best is not None and part > best:
+                    continue
+                if part != best:
+                    best, kept = part, {}
+                kept.setdefault(images, head)
+        level = list(kept.values())
+    return MonomialSystem.from_generators(sys.n, sys.d, next(iter(kept)))
 
 
 def parse_system(text: str, n: int, d: int) -> MonomialSystem:

@@ -10,6 +10,9 @@
   check the production code with, which no verdict needs.
 - Minimality straight from the subset definition, an exponential
   cross-check of the quadric criterion at small n.
+- The canonical form by a scan of all of S_{n+1}, sorting the relabelled
+  generators for every permutation, that the position-by-position search
+  in ``togliatti.monomials.canonical_form`` replaced.
 - Family membership by comparing canonical forms, the two S_{n+1} orbit
   scans that ``family.member_partition`` replaced.
 - The hull's edge rule before the pair-sum filter: one LP per primitive
@@ -27,7 +30,12 @@ from math import gcd, inf
 from togliatti import lefschetz, linalg, polytope
 from togliatti.errors import PreconditionError
 from togliatti.family import family_system, valid_partitions
-from togliatti.monomials import MonomialSystem, canonical_form, lattice_points_simplex
+from togliatti.monomials import (
+    MonomialSystem,
+    _apply_perm,
+    canonical_form,
+    lattice_points_simplex,
+)
 
 
 def fraction_rref(rows, ncols=None):
@@ -316,10 +324,25 @@ def lattice_index(sub, sup):
     return abs(det_bareiss(coeffs))
 
 
+def canonical_form_by_orbit_scan(sys: MonomialSystem) -> MonomialSystem:
+    """ORACLE: Lexicographically smallest encoding of sys over all coordinate permutations.
+
+    Two systems are equivalent under relabelling of variables iff their
+    canonical forms are equal.  Full orbit enumeration over S_{n+1}; fine for
+    the desk-scale n this library targets.
+    """
+    best = None
+    for perm in itertools.permutations(range(sys.n + 1)):
+        gens = tuple(sorted(_apply_perm(m, perm) for m in sys.generators))
+        if best is None or gens < best:
+            best = gens
+    return MonomialSystem.from_generators(sys.n, sys.d, best)
+
+
 @functools.lru_cache(maxsize=None)
 def _family_orbits(n):
     return {
-        canonical_form(family_system(spec).sys).encoding(): spec
+        canonical_form_by_orbit_scan(family_system(spec).sys).encoding(): spec
         for spec in valid_partitions(n)
     }
 
@@ -329,7 +352,7 @@ def member_partition_by_canonical_form(sys: MonomialSystem):
     by comparing canonical forms (a full S_{n+1} orbit scan of sys)."""
     if sys.d != 3:
         return None
-    return _family_orbits(sys.n).get(canonical_form(sys).encoding())
+    return _family_orbits(sys.n).get(canonical_form_by_orbit_scan(sys).encoding())
 
 
 def unfiltered_hull_structure(points):

@@ -15,9 +15,11 @@ from togliatti import (
     parse_system,
     serialize,
 )
+from togliatti.family import family_system, valid_partitions
 from togliatti.monomials import PartitionSpec, monomial_str, parse_monomial
 
-from conftest import BRENNER_KAID_TEXT, COUNTEREX3_TEXT
+from conftest import BRENNER_KAID_TEXT, COUNTEREX3_TEXT, random_artinian_system, seeded_rng
+from oracles import canonical_form_by_orbit_scan
 
 
 class TestLatticePoints:
@@ -131,7 +133,7 @@ class TestCanonicalForm:
         import conftest
 
         rng = conftest.seeded_rng(sys_seed)
-        n = rng.choice([2, 3])
+        n = rng.choice([2, 3, 4, 5])
         sys = conftest.random_artinian_system(rng, n)
         perm = list(range(n + 1))
         conftest.seeded_rng(perm_seed).shuffle(perm)
@@ -139,6 +141,57 @@ class TestCanonicalForm:
             canonical_form(sys.permuted(tuple(perm))).encoding()
             == canonical_form(sys).encoding()
         )
+
+
+class TestCanonicalFormMatchesOrbitScan:
+    """The position-by-position search returns the encoding of the scan over
+    all of S_{n+1}, byte for byte."""
+
+    @staticmethod
+    def assert_same(sys):
+        assert canonical_form(sys).encoding() == canonical_form_by_orbit_scan(sys).encoding()
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_family_members_and_perturbations(self, n):
+        # each member under a seeded relabelling, and with one apolar point
+        # moved into S, as the bench's algebra_n6 workload builds them
+        rng = seeded_rng(n)
+        for spec in valid_partitions(n):
+            perm = list(range(n + 1))
+            rng.shuffle(perm)
+            sys = family_system(spec).sys.permuted(tuple(perm))
+            self.assert_same(sys)
+            moved = rng.choice(sys.apolar)
+            self.assert_same(MonomialSystem.from_generators(n, 3, sys.generators + (moved,)))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_random_artinian(self, n):
+        rng = seeded_rng(100 + n)
+        for _ in range(30):
+            self.assert_same(random_artinian_system(rng, n))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_random_non_artinian(self, n):
+        # without the pure cubes a block part can be a proper prefix of
+        # another, which a plain tuple comparison of the parts gets wrong
+        rng = seeded_rng(200 + n)
+        points = lattice_points_simplex(n, 3)
+        for _ in range(150):
+            gens = rng.sample(points, rng.randint(0, len(points)))
+            sys = MonomialSystem.from_generators(n, 3, gens)
+            self.assert_same(sys)
+            self.assert_same(sys.permuted(tuple(rng.sample(range(n + 1), n + 1))))
+
+    @pytest.mark.parametrize(
+        "gens, expected",
+        [([(3, 0, 0)], ((0, 0, 3),)), ([(2, 1, 0)], ((0, 1, 2),))],
+    )
+    def test_prefix_part_wins(self, gens, expected):
+        # on the block of x2 the empty part is a proper prefix of a nonempty
+        # one, and must lose to it
+        sys = MonomialSystem.from_generators(2, 3, gens)
+        assert canonical_form(sys).encoding() == expected
+        self.assert_same(sys)
 
 
 class TestSerialize:
