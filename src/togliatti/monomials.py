@@ -213,10 +213,10 @@ def canonical_form(sys: MonomialSystem) -> MonomialSystem:
                 images = frozenset(tuple([m[u] for u in order]) for m in gens)
                 part = sorted(t for t in images if t < bound)
                 part.append(sentinel)
-                if best is not None and part > best:
-                    continue
-                if part != best:
+                if best is None or part < best:
                     best, kept = part, {}
+                elif part > best:
+                    continue
                 kept.setdefault(images, head)
         level = list(kept.values())
     return MonomialSystem.from_generators(sys.n, sys.d, next(iter(kept)))
