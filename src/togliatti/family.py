@@ -17,7 +17,7 @@ from math import comb
 from typing import Optional
 
 from . import graphs
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, PreconditionError, StructureFailureError
 from .lefschetz import QuadricForm, quadric_pairs
 from .monomials import MonomialSystem, PartitionSpec, lattice_points_simplex
 
@@ -79,16 +79,11 @@ def member_partition(sys: MonomialSystem) -> Optional[PartitionSpec]:
     a member iff the witness carries its generators onto the family's:
     exact, and linear in |S| after the graph.  None when sys is no member.
     """
-    if sys.d != 3:
-        return None
-    gp = graphs.build_gp(sys)
-    if not gp.is_symmetric():
-        return None
-    components = sorted(gp.complement_components(), key=len, reverse=True)
     try:
+        components = graphs.complement_groups(graphs.build_gp(sys))
         spec = PartitionSpec(tuple(map(len, components)), sys.n)
-    except InvalidArgumentError:  # a component with more than n-1 variables
-        return None
+    except (PreconditionError, StructureFailureError, InvalidArgumentError):
+        return None  # not cubic, G_P not symmetric, or no family partition
     perm = [0] * (sys.n + 1)
     for comp, group in zip(components, spec.groups()):
         for i, target in zip(comp, group):

@@ -8,8 +8,8 @@ indexes the classified family.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import PreconditionError, StructureFailureError
 from .monomials import MonomialSystem, PartitionSpec
@@ -46,27 +46,6 @@ class DirectedSystemGraph:
             for i in range(n1)
         }
 
-    def complement_components(self) -> list:
-        """Connected components of the complement as sorted vertex lists,
-        ordered by least vertex."""
-        adj = self.complement_neighbours()
-        seen = set()
-        components = []
-        for start in range(self.n + 1):
-            if start in seen:
-                continue
-            comp = {start}
-            frontier = [start]
-            while frontier:
-                v = frontier.pop()
-                for w in adj[v]:
-                    if w not in comp:
-                        comp.add(w)
-                        frontier.append(w)
-            seen |= comp
-            components.append(sorted(comp))
-        return components
-
 
 def build_gp(sys: MonomialSystem) -> DirectedSystemGraph:
     if sys.d != 3:
@@ -82,48 +61,41 @@ def build_gp(sys: MonomialSystem) -> DirectedSystemGraph:
     return DirectedSystemGraph(sys.n, edges)
 
 
+def complement_groups(gp: DirectedSystemGraph) -> list:
+    """The components of the complement of a symmetric G_P, each complete.
+
+    A graph is a disjoint union of complete graphs iff no vertex k has two
+    non-adjacent neighbours a, b.  If none has, adjacency is transitive on
+    distinct vertices, so "equal or adjacent" is an equivalence whose
+    classes are the components, each complete, and the closed neighbourhood
+    {k} | adj[k] of each vertex is its component.  If a component is not
+    complete, a shortest path between two non-adjacent vertices of it has
+    at least three vertices, and its first three form such an (a, k, b):
+    a and b are not adjacent, or the path would be shorter.
+
+    Returns the groups as sorted tuples, largest first, ties by least
+    vertex.  Raises PreconditionError when G_P is not symmetric and
+    StructureFailureError with witness (a, k, b) at the first such triple.
+    """
+    if not gp.is_symmetric():
+        raise PreconditionError("directed system graph is not symmetric")
+    adj = gp.complement_neighbours()
+    for k in adj:
+        for a, b in combinations(sorted(adj[k]), 2):
+            if b not in adj[a]:
+                raise StructureFailureError(
+                    f"complement component of {k} is not complete: "
+                    f"({a},{k}) and ({k},{b}) are edges but ({a},{b}) is not",
+                    witness=(a, k, b),
+                )
+    groups = {tuple(sorted(adj[k] | {k})) for k in adj}
+    return sorted(groups, key=lambda g: (-len(g), g[0]))
+
+
 def extract_partition(sys: MonomialSystem) -> PartitionSpec:
     """Partition of {0..n} from the components of the complement graph.
 
     Succeeds iff every component is a complete graph; otherwise raises
-    StructureFailureError with a witness triple (i, j, k) where (i,j) and
-    (j,k) are edges but (i,k) is not.
+    StructureFailureError with a witness triple, as complement_groups.
     """
-    gp = build_gp(sys)
-    if not gp.is_symmetric():
-        raise PreconditionError("directed system graph is not symmetric")
-    adj = gp.complement_neighbours()
-    components = gp.complement_components()
-    for comp in components:
-        for i in comp:
-            for j in comp:
-                if i != j and j not in adj[i]:
-                    a, k, b = _incomplete_witness(adj, i, j)
-                    raise StructureFailureError(
-                        f"component {comp} is not complete: "
-                        f"({a},{k}) and ({k},{b}) are edges but ({a},{b}) is not",
-                        witness=(a, k, b),
-                    )
-    sizes = sorted((len(c) for c in components), reverse=True)
-    return PartitionSpec(tuple(sizes), sys.n)
-
-
-def _incomplete_witness(adj, i, j):
-    """First three vertices of a shortest path i..j; its endpoints are non-adjacent."""
-    parent = {i: None}
-    queue = deque([i])
-    while queue:
-        v = queue.popleft()
-        if v == j:
-            break
-        for w in sorted(adj[v]):
-            if w not in parent:
-                parent[w] = v
-                queue.append(w)
-    path = []
-    v = j
-    while v is not None:
-        path.append(v)
-        v = parent[v]
-    path.reverse()
-    return path[0], path[1], path[2]
+    return PartitionSpec(tuple(map(len, complement_groups(build_gp(sys)))), sys.n)

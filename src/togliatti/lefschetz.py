@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
 from typing import NamedTuple, Optional
 
 from . import linalg
@@ -126,8 +126,6 @@ def restricted_dependence(sys: MonomialSystem) -> bool:
 
 def _power_of_neg_sum(e, n):
     """Expansion of (-(x_0+...+x_{n-1}))^e as (exponent tuple, coefficient) pairs."""
-    from math import factorial
-
     sign = (-1) ** e
     for part in _compositions(e, n):
         coeff = factorial(e)

@@ -257,42 +257,35 @@ def smoothness_check(points) -> SmoothnessCertificate:
     vertex is simple, its primitive edge directions are unimodular, and each
     edge's first lattice point is itself one of the points (free semigroup)."""
     model = hull_structure(points)
-    point_set = set(model.points)
-    basis = model.lattice.basis
     m = model.dim
     records = []
-    failure = None
-    smooth = True
     for v in model.vertices:
         dirs = model.directions[v]
-        if len(dirs) != m:
-            records.append(VertexRecord(v, len(dirs), dirs, None))
-            if smooth:
-                smooth = False
-                failure = (v, f"vertex has {len(dirs)} edges, expected {m}")
-            continue
-        det = linalg.abs_det(dirs)
+        det = linalg.abs_det(dirs) if len(dirs) == m else None
         records.append(VertexRecord(v, len(dirs), dirs, det))
-        if det != 1:
-            if smooth:
-                smooth = False
-                failure = (v, f"primitive edge directions have |det| = {det}")
-            continue
-        for d in dirs:
+    failure = _first_violation(records, model)
+    return SmoothnessCertificate(failure is None, m, tuple(records), failure, model)
+
+
+def _first_violation(records, model):
+    """(vertex, reason) for the first vertex record that breaks a condition, or None."""
+    point_set = set(model.points)
+    basis = model.lattice.basis
+    for r in records:
+        v = r.vertex
+        if r.determinant is None:
+            return v, f"vertex has {r.edge_count} edges, expected {model.dim}"
+        if r.determinant != 1:
+            return v, f"primitive edge directions have |det| = {r.determinant}"
+        for d in r.directions:
             # first lattice point along the edge, back in ambient coordinates
             step = tuple(
-                v[j] + sum(d[i] * basis[i][j] for i in range(m))
+                v[j] + sum(d[i] * basis[i][j] for i in range(model.dim))
                 for j in range(len(v))
             )
             if step not in point_set:
-                if smooth:
-                    smooth = False
-                    failure = (
-                        v,
-                        f"first lattice point {step} along an edge is not in the set",
-                    )
-                break
-    return SmoothnessCertificate(smooth, m, tuple(records), failure, model)
+                return v, f"first lattice point {step} along an edge is not in the set"
+    return None
 
 
 # ---------------------------------------------------------------------------

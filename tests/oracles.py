@@ -15,6 +15,9 @@
   in ``togliatti.monomials.canonical_form`` replaced.
 - Family membership by comparing canonical forms, the two S_{n+1} orbit
   scans that ``family.member_partition`` replaced.
+- The components of the ``G_P`` complement by graph search, and the
+  pairwise check that each is complete, that the one neighbourhood pass in
+  ``graphs.complement_groups`` replaced.
 - The hull's edge rule before the pair-sum filter: one LP per primitive
   direction at a vertex, against all the other directions.
 - The subset search that the orbit-first search in
@@ -353,6 +356,36 @@ def member_partition_by_canonical_form(sys: MonomialSystem):
     if sys.d != 3:
         return None
     return _family_orbits(sys.n).get(canonical_form_by_orbit_scan(sys).encoding())
+
+
+def complement_components_by_search(gp):
+    """ORACLE: the components of the complement of G_P by graph search, as
+    sorted vertex lists ordered by least vertex, and whether every pair of
+    vertices in every component is joined.  Returns (components, complete).
+    """
+    adj = gp.complement_neighbours()
+    seen = set()
+    components = []
+    for start in range(gp.n + 1):
+        if start in seen:
+            continue
+        comp = {start}
+        frontier = [start]
+        while frontier:
+            v = frontier.pop()
+            for w in adj[v]:
+                if w not in comp:
+                    comp.add(w)
+                    frontier.append(w)
+        seen |= comp
+        components.append(sorted(comp))
+    complete = True
+    for comp in components:
+        for i in comp:
+            for j in comp:
+                if i != j and j not in adj[i]:
+                    complete = False
+    return components, complete
 
 
 def unfiltered_hull_structure(points):

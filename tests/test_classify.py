@@ -7,6 +7,7 @@ import pytest
 
 from togliatti import (
     BudgetExhaustedError,
+    InternalError,
     InvalidArgumentError,
     check_command,
     enumerate_minimal_smooth,
@@ -305,6 +306,34 @@ class TestCheckCommand:
         assert report["graphs"]["partition"] == [6, 1, 1]
         assert report["graphs"]["partition_matches_family"] is True
         assert report["togliatti"] and report["minimal"] and report["smooth"]
+
+
+class TestCrossChecks:
+    """Verdicts that must agree, forced apart: each cross-check raises."""
+
+    def test_search_and_direct_minimality(self, monkeypatch):
+        non_minimal = lefschetz.MinimalityResult(False, None, None)
+        monkeypatch.setattr(lefschetz, "is_minimal_togliatti", lambda sys: non_minimal)
+        with pytest.raises(InternalError, match="search filters and direct verdicts disagree"):
+            enumerate_minimal_smooth(2)
+
+    def test_wlp_and_hyperplane_restriction(self, brenner_kaid, monkeypatch):
+        restricted = lefschetz.restricted_dependence
+        monkeypatch.setattr(lefschetz, "restricted_dependence", lambda sys: not restricted(sys))
+        with pytest.raises(InternalError, match="hyperplane-restriction verdicts disagree"):
+            check_command(brenner_kaid)
+
+    def test_wlp_and_quadric_space(self, brenner_kaid, monkeypatch):
+        holds = lefschetz.WlpResult(False, None)
+        monkeypatch.setattr(lefschetz, "fails_wlp_in_degree_dminus1", lambda sys: holds)
+        monkeypatch.setattr(lefschetz, "restricted_dependence", lambda sys: False)
+        with pytest.raises(InternalError, match="quadric-space verdicts disagree"):
+            check_command(brenner_kaid)
+
+    def test_wlp_and_laplace_equation(self, brenner_kaid, monkeypatch):
+        monkeypatch.setattr(lefschetz, "laplace_delta", lambda apolar, n: 0)
+        with pytest.raises(InternalError, match="Laplace-equation verdicts disagree"):
+            check_command(brenner_kaid)
 
 
 class TestVerifyTheorem:

@@ -7,7 +7,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from togliatti import classify
+from togliatti import classify, lefschetz
 from togliatti.cli import (
     EXIT_FAIL,
     EXIT_INCONCLUSIVE,
@@ -113,6 +113,14 @@ class TestCheck:
         assert code == EXIT_PASS
         assert json.loads(out)["n"] == 2
 
+    def test_internal_error_exits_one_without_traceback(self, bk_file, monkeypatch, capsys):
+        restricted = lefschetz.restricted_dependence
+        monkeypatch.setattr(lefschetz, "restricted_dependence", lambda sys: not restricted(sys))
+        code, out, err = run_cli(["check", bk_file], capsys)
+        assert code == EXIT_FAIL
+        assert err == "error: WLP kernel and hyperplane-restriction verdicts disagree\n"
+        assert out == ""
+
     def test_missing_file_usage_error(self, capsys):
         code, _, err = run_cli(["check", "/nonexistent/path.txt"], capsys)
         assert code == EXIT_USAGE
@@ -150,6 +158,12 @@ class TestEnumerate:
         assert cls["partition"] == [1, 1, 1]
         assert cls["size"] == 4
         assert cls["smooth"] is True
+
+    def test_n2_text_output(self, capsys):
+        code, out, err = run_cli(["enumerate", "--n", "2"], capsys)
+        assert code == EXIT_PASS
+        assert "x0*x1*x2" in out
+        assert err == ""
 
     def test_budget_exhausted_inconclusive(self, monkeypatch, capsys):
         argv = ["enumerate", "--n", "3", "--budget", "0.0", "--json"]
@@ -216,6 +230,12 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["status"] == "pass"
         assert payload["class_count"] == 1
+
+    def test_n2_text_output(self, capsys):
+        code, out, err = run_cli(["verify", "--n", "2"], capsys)
+        assert code == EXIT_PASS
+        assert "x0*x1*x2" in out
+        assert err == ""
 
     def test_budget_inconclusive(self, monkeypatch, capsys):
         argv = ["verify", "--n", "3", "--budget", "0.0", "--json"]

@@ -131,6 +131,10 @@ class TestBound:
             argmax = sorted(p for p, mu in mus.items() if mu == bound)
             assert sorted(p.parts for p in equality_partitions(n)) == argmax
 
+    def test_equality_partitions_need_n2(self):
+        with pytest.raises(InvalidArgumentError, match="n must be >= 2"):
+            equality_partitions(1)
+
     def test_equality_cases(self):
         assert sorted(p.parts for p in equality_partitions(3)) == [
             (1, 1, 1, 1), (2, 1, 1), (2, 2)

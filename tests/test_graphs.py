@@ -1,5 +1,6 @@
 """System graphs: directed, complement, partition extraction, typed vertices."""
 
+import itertools
 from dataclasses import dataclass
 
 import pytest
@@ -12,10 +13,12 @@ from togliatti import (
     extract_partition,
 )
 from togliatti.family import family_system, valid_partitions
+from togliatti.graphs import DirectedSystemGraph, complement_groups
 from togliatti.monomials import PartitionSpec, lattice_points_simplex
 from togliatti.polytope import spanned_lattice
 
 import conftest
+from oracles import complement_components_by_search
 
 
 def complement_edges(sys):
@@ -115,6 +118,26 @@ class TestExtractPartition:
         sys = MonomialSystem.from_apolar(2, 3, [(2, 1, 0)])
         with pytest.raises(PreconditionError):
             extract_partition(sys)
+
+
+class TestComplementGroups:
+    @pytest.mark.parametrize("n1", [3, 4, 5, 6])
+    def test_every_symmetric_graph_matches_search(self, n1):
+        # all 2^C(n1,2) undirected graphs, each as a symmetric G_P
+        pairs = list(itertools.combinations(range(n1), 2))
+        for mask in range(1 << len(pairs)):
+            chosen = [p for bit, p in enumerate(pairs) if mask >> bit & 1]
+            gp = DirectedSystemGraph(n1 - 1, frozenset(chosen + [(j, i) for i, j in chosen]))
+            components, complete = complement_components_by_search(gp)
+            if complete:
+                expected = sorted(map(tuple, components), key=len, reverse=True)
+                assert complement_groups(gp) == expected
+                continue
+            with pytest.raises(StructureFailureError) as err:
+                complement_groups(gp)
+            a, k, b = err.value.witness
+            adj = gp.complement_neighbours()
+            assert a != b and k in adj[a] and b in adj[k] and b not in adj[a]
 
 
 @dataclass(frozen=True)

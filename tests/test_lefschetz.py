@@ -211,6 +211,11 @@ class TestMinimality:
         assert space[0].diag == (0, 0, 0, 0)
         assert conftest.quadric_coeff(space[0], 0, 1) != 0
 
+    def test_requires_cubics(self):
+        sys = MonomialSystem.from_generators(2, 2, [(2, 0, 0), (0, 2, 0), (0, 0, 2)])
+        with pytest.raises(PreconditionError, match="specific to cubics"):
+            is_minimal_togliatti(sys)
+
     def test_requires_wlp_failure(self):
         sys = MonomialSystem.from_generators(2, 3, [(3, 0, 0), (0, 3, 0), (0, 0, 3)])
         with pytest.raises(PreconditionError):

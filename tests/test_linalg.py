@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from oracles import det_bareiss, lattice_index, matvec, rref, smith_diagonal
+from togliatti.errors import InvalidArgumentError
 from togliatti.linalg import (
     LatticeBasis,
     abs_det,
@@ -138,6 +139,14 @@ class TestDeterminant:
 
 
 class TestHnf:
+    def test_empty_input_needs_ambient(self):
+        with pytest.raises(InvalidArgumentError, match="ambient dimension required"):
+            hnf([])
+
+    def test_mixed_lengths_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="inconsistent vector lengths"):
+            hnf([(1, 0), (1, 0, 0)])
+
     def test_diagonal(self):
         basis = hnf([(2, 0), (0, 2)]).basis
         assert basis == ((2, 0), (0, 2))

@@ -110,6 +110,11 @@ class TestMonomialSystem:
         with pytest.raises(InvalidArgumentError):
             MonomialSystem.from_generators(2, 3, [(2, 0, 0)])
 
+    def test_non_integer_exponents_rejected(self):
+        # degree 3 and non-negative, but no lattice point of 3*Delta
+        with pytest.raises(InvalidArgumentError, match=r"outside 3\*Delta"):
+            MonomialSystem.from_generators(2, 3, [(0.5, 2.5, 0)])
+
 
 class TestCanonicalForm:
     def test_symmetric_system_fixed(self, brenner_kaid):
@@ -203,6 +208,10 @@ class TestSerialize:
         text = serialize(counterex3, "P")
         assert parse_system(text, 3, 3).encoding() == counterex3.encoding()
 
+    def test_unknown_side_rejected(self, counterex3):
+        with pytest.raises(InvalidArgumentError, match="which must be 'S' or 'P'"):
+            serialize(counterex3, "Q")
+
     @given(st.integers(0, 10**6))
     def test_roundtrip_random(self, seed):
         import conftest
@@ -227,6 +236,15 @@ class TestPartitionSpec:
     def test_rejects_bad_sum(self):
         with pytest.raises(InvalidArgumentError):
             PartitionSpec((1, 1), 3)
+
+    def test_rejects_zero_part(self):
+        with pytest.raises(InvalidArgumentError, match="parts must be positive"):
+            PartitionSpec((2, 0, 1), 2)
+
+    def test_group_of_out_of_range(self):
+        spec = PartitionSpec((2, 1, 1), 3)
+        with pytest.raises(InvalidArgumentError, match="index 4 out of range"):
+            spec.group_of(4)
 
     def test_rejects_unsorted(self):
         with pytest.raises(InvalidArgumentError):

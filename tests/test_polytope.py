@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from togliatti import (
     InvalidArgumentError,
+    PreconditionError,
     hull_structure,
     lattice_points_simplex,
     smoothness_check,
@@ -366,6 +367,14 @@ class TestLatticePredicates:
 
     def test_family_spans(self, counterex3):
         assert spans_full_lattice(counterex3.apolar)
+
+    def test_empty_point_set_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="empty point set"):
+            spans_full_lattice([])
+
+    def test_non_cubic_points_rejected(self):
+        with pytest.raises(PreconditionError, match="degree-3 monomials"):
+            spans_full_lattice([(1, 1, 0)])
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_spans_full_lattice_matches_index_oracle(self, n):
