@@ -7,9 +7,10 @@ monomial into P or S, eliminating the quadric-evaluation rows of P
 incrementally in exact integer arithmetic and cutting every branch that can
 no longer meet the quadric criterion (quadric space of dimension exactly
 one, unique quadric missing every generator) or the cardinality bound.  The
-minimal leaves are deduplicated by canonical form; smoothness is certified
-on the new orbits, and the WLP failure of each class is cross-validated
-through the multiplication map.
+minimal leaves are deduplicated by canonical form; smoothness is decided on
+the new orbits by polytope.smooth_certificate, which stops the hull walk at
+the first vertex that breaks the vertex criterion, and the WLP failure of
+each class is cross-validated through the multiplication map.
 """
 
 from __future__ import annotations
@@ -80,7 +81,9 @@ def enumerate_minimal_smooth(n: int, budget: Optional[float] = None) -> Classifi
       lefschetz.cardinality_bound (S only grows).
     A leaf has no generator in the span, so it is minimal iff its rank is
     N - 1.  Minimal leaves are deduplicated by canonical_form, new orbits
-    go through smoothness_check and the smooth ones are certified.
+    go through polytope.smooth_certificate (None at the first vertex that
+    breaks the vertex criterion, else smoothness_check's full certificate)
+    and the smooth ones are certified.
 
     stats:
     - digraphs: canonical digraphs searched (one whose S already holds
@@ -155,8 +158,8 @@ def enumerate_minimal_smooth(n: int, budget: Optional[float] = None) -> Classifi
             if key in survivors or key in rejected:
                 stats["duplicate_orbit"] += 1
                 continue
-            cert = polytope.smoothness_check(rep.apolar)
-            if not cert.smooth:
+            cert = polytope.smooth_certificate(rep.apolar)
+            if cert is None:
                 stats["smoothness_filtered"] += 1
                 rejected.add(key)
                 continue

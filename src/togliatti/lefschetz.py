@@ -3,7 +3,7 @@
 Multiplication by the sum of the variables in degree d-1 (the one Lefschetz
 element that matters for monomial ideals), hyperplane-restriction dependence,
 the space of hyperquadrics through the apolar points, minimality, and the
-order-2 Laplace-equation count.
+count of Laplace equations of order d-1.
 """
 
 from __future__ import annotations
@@ -226,28 +226,33 @@ def is_minimal_togliatti(sys: MonomialSystem) -> MinimalityResult:
 # Laplace equations
 
 def laplace_delta(points, n: int) -> int:
-    """Number of independent order-2 Laplace equations of the monomial map given by points.
+    """Number of independent Laplace equations of order d-1 of the monomial
+    map given by points, all of degree d.
 
-    The osculating matrix has rows indexed by derivative orders alpha with
-    |alpha| <= 2 and columns by the monomials x^a in the point set; the entry
-    is (prod_i a_i (a_i - 1) ... (a_i - alpha_i + 1)) * x^{a - alpha}.  Scaling
+    Order d-1 is the one whose equations correspond to WLP failure in degree
+    d-1 (order 2 for cubics).  The osculating matrix has rows indexed by
+    derivative orders alpha with |alpha| <= d-1 and columns by the monomials
+    x^a in the point set; the entry is
+    (prod_i a_i (a_i - 1) ... (a_i - alpha_i + 1)) * x^{a - alpha}.  Scaling
     column a by x^{-a} and row alpha by x^{alpha} (units in the function
     field) leaves the rank unchanged and turns every entry into the constant
     falling-factorial coefficient, so the function-field rank is computed
-    exactly as an integer matrix rank.
+    exactly as an integer matrix rank.  The count is C(n+d-1, d-1) minus
+    that rank.
     """
     points = sorted(points)
     if not points:
         raise PreconditionError("empty point set has no parametrization")
+    degrees = set(map(sum, points))
+    if len(degrees) > 1:
+        raise PreconditionError(f"points of mixed degrees {sorted(degrees)}")
     if linalg.rank([list(p) for p in points], n + 1) < n + 1:
         raise PreconditionError(
             "degenerate parametrization: exponent matrix rank below n+1"
         )
-    rows = []
-    for alpha in _derivative_orders(n, 2):
-        rows.append([_falling(a, alpha) for a in points])
-    expected = comb(n + 2, 2)
-    return expected - linalg.rank(rows, len(points))
+    s = degrees.pop() - 1
+    rows = [[_falling(a, alpha) for a in points] for alpha in _derivative_orders(n, s)]
+    return comb(n + s, s) - linalg.rank(rows, len(points))
 
 
 def _derivative_orders(n, s):

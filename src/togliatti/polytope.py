@@ -11,6 +11,9 @@ form a basis of M, and the first lattice point along every edge belongs to
 the configuration.
 The last condition makes the vertex semigroups free; without it the variety
 is merely quasi-smooth (unimodular hull, non-normal chart).
+smoothness_check walks the whole hull and reports the lex-smallest violating
+vertex; smooth_certificate tests each vertex as the walk reaches it and
+stops at the first violating one.
 """
 
 from __future__ import annotations
@@ -185,7 +188,18 @@ def _edge_candidates(v, coords) -> dict:
 
 
 def hull_structure(points) -> LatticePolytopeModel:
-    """Vertices and edges of conv(points) by a walk over the edge graph.
+    """Vertices and edges of conv(points) by a walk over the edge graph
+    (_hull_walk)."""
+    points = tuple(sorted(set(map(tuple, points))))
+    base, lattice, coords = lattice_coordinates(points)
+    walked = dict(_hull_walk(points, coords, lattice.dimension))
+    return _model(points, base, lattice, coords, walked)
+
+
+def _hull_walk(points, coords, m):
+    """Yield (v, neighbours) for each vertex v of conv(points) as the walk
+    pops it; neighbours is the sorted tuple of (w, d), w the vertex across
+    the edge from v with primitive direction d.
 
     The lex-smallest point is a vertex, and the edge graph of a polytope is
     connected, so every vertex is reached from it along edges.  At a vertex
@@ -205,18 +219,16 @@ def hull_structure(points) -> LatticePolytopeModel:
     generated by its extreme rays, so the survivors generate C, and a
     survivor is an extreme ray iff it is not a non-negative combination of
     the other survivors: one exact feasibility LP with the other survivors
-    as columns.
+    as columns.  A vertex's LPs run when it is popped, so a caller that
+    stops consuming stops the walk.
     """
-    points = tuple(sorted(set(map(tuple, points))))
-    base, lattice, coords = lattice_coordinates(points)
-    m = lattice.dimension
-    directions = {}
-    edges = set()
+    seen = set()
     stack = [points[0]]
     while stack:
         v = stack.pop()
-        if v in directions:
+        if v in seen:
             continue
+        seen.add(v)
         candidates = _edge_candidates(v, coords)
         neighbours = []
         for d, (_, w) in candidates.items():
@@ -224,11 +236,16 @@ def hull_structure(points) -> LatticePolytopeModel:
             if others and _feasible([[g[i] for g in others] for i in range(m)], list(d)):
                 continue
             neighbours.append((w, d))
-            edges.add((min(v, w), max(v, w)))
             stack.append(w)
-        directions[v] = tuple(d for _, d in sorted(neighbours))
+        yield v, tuple(sorted(neighbours))
+
+
+def _model(points, base, lattice, coords, walked) -> LatticePolytopeModel:
+    """The model of a complete walk, given as {vertex: neighbours}."""
+    edges = {(min(v, w), max(v, w)) for v, nbrs in walked.items() for w, _ in nbrs}
+    directions = {v: tuple(d for _, d in nbrs) for v, nbrs in walked.items()}
     return LatticePolytopeModel(
-        points, base, lattice, coords, tuple(sorted(directions)), tuple(sorted(edges)), directions
+        points, base, lattice, coords, tuple(sorted(walked)), tuple(sorted(edges)), directions
     )
 
 
@@ -248,43 +265,68 @@ class SmoothnessCertificate:
     smooth: bool
     dim: int
     records: tuple
-    failure: Optional[tuple]  # (vertex, reason) for the first violation
+    failure: Optional[tuple]  # (vertex, reason) for the lex-smallest violating vertex
     model: LatticePolytopeModel
 
 
 def smoothness_check(points) -> SmoothnessCertificate:
     """Vertex-by-vertex check, in the lattice spanned by the points, that every
     vertex is simple, its primitive edge directions are unimodular, and each
-    edge's first lattice point is itself one of the points (free semigroup)."""
+    edge's first lattice point is itself one of the points (free semigroup).
+
+    The whole hull is walked and the failure, if any, is the lex-smallest
+    violating vertex with its reason."""
     model = hull_structure(points)
-    m = model.dim
-    records = []
-    for v in model.vertices:
-        dirs = model.directions[v]
-        det = linalg.abs_det(dirs) if len(dirs) == m else None
-        records.append(VertexRecord(v, len(dirs), dirs, det))
-    failure = _first_violation(records, model)
-    return SmoothnessCertificate(failure is None, m, tuple(records), failure, model)
-
-
-def _first_violation(records, model):
-    """(vertex, reason) for the first vertex record that breaks a condition, or None."""
-    point_set = set(model.points)
-    basis = model.lattice.basis
+    m, point_set = model.dim, set(model.points)
+    records = tuple(_record(v, model.directions[v], m) for v in model.vertices)
+    failure = None
     for r in records:
-        v = r.vertex
-        if r.determinant is None:
-            return v, f"vertex has {r.edge_count} edges, expected {model.dim}"
-        if r.determinant != 1:
-            return v, f"primitive edge directions have |det| = {r.determinant}"
-        for d in r.directions:
-            # first lattice point along the edge, back in ambient coordinates
-            step = tuple(
-                v[j] + sum(d[i] * basis[i][j] for i in range(model.dim))
-                for j in range(len(v))
-            )
-            if step not in point_set:
-                return v, f"first lattice point {step} along an edge is not in the set"
+        reason = _violation(r, m, model.lattice.basis, point_set)
+        if reason is not None:
+            failure = r.vertex, reason
+            break
+    return SmoothnessCertificate(failure is None, m, records, failure, model)
+
+
+def smooth_certificate(points) -> Optional[SmoothnessCertificate]:
+    """smoothness_check(points) when the points are smooth, else None.
+
+    Each vertex is tested as the hull walk pops it, and the walk stops at
+    the first violating one.  That gives the same verdict: a smooth
+    polytope has no violating vertex, so stopping at any violating vertex
+    rejects only non-smooth ones.  When no vertex violates, the walk is
+    complete and the certificate built from it is the full one.
+    """
+    points = tuple(sorted(set(map(tuple, points))))
+    base, lattice, coords = lattice_coordinates(points)
+    m, point_set = lattice.dimension, set(points)
+    walked, records = {}, {}
+    for v, neighbours in _hull_walk(points, coords, m):
+        r = _record(v, tuple(d for _, d in neighbours), m)
+        if _violation(r, m, lattice.basis, point_set) is not None:
+            return None
+        walked[v], records[v] = neighbours, r
+    model = _model(points, base, lattice, coords, walked)
+    return SmoothnessCertificate(True, m, tuple(map(records.get, model.vertices)), None, model)
+
+
+def _record(v, dirs, m) -> VertexRecord:
+    return VertexRecord(v, len(dirs), dirs, linalg.abs_det(dirs) if len(dirs) == m else None)
+
+
+def _violation(r: VertexRecord, m, basis, point_set) -> Optional[str]:
+    """Why the vertex of record r breaks the vertex criterion in an
+    m-dimensional lattice with the given basis, or None when it does not."""
+    v = r.vertex
+    if r.determinant is None:
+        return f"vertex has {r.edge_count} edges, expected {m}"
+    if r.determinant != 1:
+        return f"primitive edge directions have |det| = {r.determinant}"
+    for d in r.directions:
+        # first lattice point along the edge, back in ambient coordinates
+        step = tuple(v[j] + sum(d[i] * basis[i][j] for i in range(m)) for j in range(len(v)))
+        if step not in point_set:
+            return f"first lattice point {step} along an edge is not in the set"
     return None
 
 

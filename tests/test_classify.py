@@ -170,17 +170,18 @@ class TestMatchesBruteForceOracle:
     @pytest.mark.parametrize("n", [2, 3])
     def test_same_minimal_orbits(self, n, monkeypatch):
         # the orbit-first search finds the subset search's smooth classes,
-        # and sends the same non-smooth minimal orbits to smoothness_check
+        # and sends the same non-smooth minimal orbits to the smoothness
+        # decision (smooth_certificate; smooth means a certificate, not None)
         smooth, non_smooth, old_stats = bruteforce_minimal_orbits(n)
         verdicts = {}
-        check = polytope.smoothness_check
+        check = polytope.smooth_certificate
 
         def recording_check(points):
             cert = check(points)
-            verdicts[MonomialSystem.from_apolar(n, 3, points).encoding()] = cert.smooth
+            verdicts[MonomialSystem.from_apolar(n, 3, points).encoding()] = cert is not None
             return cert
 
-        monkeypatch.setattr(polytope, "smoothness_check", recording_check)
+        monkeypatch.setattr(polytope, "smooth_certificate", recording_check)
         result = enumerate_minimal_smooth(n)
         assert {rec.sys.encoding() for rec in result.classes} == smooth
         assert {key for key, ok in verdicts.items() if ok} == smooth

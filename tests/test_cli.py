@@ -81,6 +81,18 @@ class TestCheck:
         assert code == EXIT_FAIL
         assert json.loads(out)["togliatti"] is False
 
+    def test_quadric_system_reports(self, tmp_path, capsys):
+        # d = 2: the Laplace count is of order d-1 = 1, which agrees with
+        # the WLP verdict, so the cross-check raises nothing
+        path = tmp_path / "squares.txt"
+        path.write_text("S: x0^2 x1^2 x2^2\n")
+        code, out, err = run_cli(["check", str(path), "--d", "2", "--json"], capsys)
+        assert err == ""
+        report = json.loads(out)
+        assert report["d"] == 2 and report["fails_wlp"] is False
+        assert report["laplace_delta"] == 0
+        assert code == EXIT_FAIL  # a report on a system that is not Togliatti
+
     def test_quasi_smooth_fixture_exits_one(self, tmp_path, capsys):
         path = tmp_path / "p12.txt"
         path.write_text(conftest.P12_TEXT + "\n")

@@ -21,6 +21,7 @@ from togliatti import (
     restricted_dependence,
 )
 from togliatti.lefschetz import (
+    cardinality_bound,
     poly_mul,
     quadric_evaluation_row,
     quadric_pairs,
@@ -264,6 +265,30 @@ class TestLaplaceDelta:
             except PreconditionError:
                 continue
             assert delta == len(quadric_space(sys.apolar, sys.n))
+
+    @pytest.mark.parametrize("n, d, compared", [(2, 2, 1), (3, 2, 19), (2, 4, 79)])
+    def test_order_d_minus_1_matches_wlp(self, n, d, compared):
+        # every artinian system within the cardinality bound: delta >= 1 iff
+        # WLP fails in degree d-1 (order-2 equations disagree with WLP on
+        # every such system at d = 2 and on six at n = 2, d = 4)
+        points = lattice_points_simplex(n, d)
+        powers = [p for p in points if max(p) == d]
+        pool = [p for p in points if max(p) < d]
+        count = 0
+        for k in range(cardinality_bound(n, d) - len(powers) + 1):
+            for extras in itertools.combinations(pool, k):
+                sys = MonomialSystem.from_generators(n, d, powers + list(extras))
+                try:
+                    delta = laplace_delta(sys.apolar, n)
+                except PreconditionError:
+                    continue  # degenerate parametrization
+                assert (delta >= 1) == fails_wlp_in_degree_dminus1(sys).fails, extras
+                count += 1
+        assert count == compared
+
+    def test_mixed_degrees_rejected(self):
+        with pytest.raises(PreconditionError, match="mixed degrees"):
+            laplace_delta([(2, 0, 0), (0, 3, 0), (0, 0, 3)], 2)
 
 
 class TestWitnessProduct:

@@ -12,6 +12,7 @@ from togliatti import (
     PreconditionError,
     hull_structure,
     lattice_points_simplex,
+    smooth_certificate,
     smoothness_check,
     spanned_lattice,
     spans_full_lattice,
@@ -19,6 +20,7 @@ from togliatti import (
 )
 from togliatti.family import family_system, valid_partitions
 from togliatti.linalg import hnf, kernel_basis, rank
+from togliatti.monomials import MonomialSystem, parse_system
 from togliatti import polytope
 from togliatti.polytope import degree_lattice, lattice_coordinates
 
@@ -346,6 +348,71 @@ class TestSmoothness:
                 smoothness_check(sys.apolar).smooth
                 == smoothness_check(permuted).smooth
             )
+
+
+class TestSmoothCertificate:
+    """smooth_certificate is smoothness_check's verdict, reached by a walk
+    that stops at the first violating vertex."""
+
+    @staticmethod
+    def assert_equivalent(points):
+        full = smoothness_check(points)
+        early = smooth_certificate(points)
+        if full.smooth:
+            assert early == full, points
+        else:
+            assert early is None, points
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_bruteforce_minimal_orbits(self, n):
+        smooth, non_smooth, _ = oracles.bruteforce_minimal_orbits(n)
+        assert smooth and (non_smooth or n == 2)
+        for key in sorted(smooth | non_smooth):
+            self.assert_equivalent(MonomialSystem.from_generators(n, 3, key).apolar)
+
+    def test_fixtures(self, p12, p15, counterex3, brenner_kaid):
+        for sys in (p12, p15, counterex3, brenner_kaid):
+            self.assert_equivalent(sys.apolar)
+        assert smooth_certificate(p12.apolar) is None
+        assert smooth_certificate(p15.apolar) == smoothness_check(p15.apolar)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_family_members(self, n):
+        for spec in valid_partitions(n):
+            points = family_system(spec).sys.apolar
+            assert smooth_certificate(points) == smoothness_check(points), spec
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_random_subsets_of_3_delta(self, n):
+        rng = random.Random(700 + n)
+        points = lattice_points_simplex(n, 3)
+        verdicts = set()
+        for _ in range(300):
+            pts = rng.sample(points, rng.randint(1, len(points)))
+            self.assert_equivalent(pts)
+            verdicts.add(smooth_certificate(pts) is not None)
+        assert verdicts == {True, False}
+
+    def test_stops_at_the_first_walked_vertex(self, monkeypatch):
+        # a non-smooth minimal n=3 orbit whose lex-smallest point, where the
+        # walk starts, has 5 edges in a 3-dimensional hull
+        sys = parse_system(
+            "S: x3^3 x2*x3^2 x2^2*x3 x2^3 x1*x3^2 x1*x2*x3 x1^3 x0*x2^2 x0^2*x1 x0^3", 3, 3
+        )
+        calls = []
+        candidates = polytope._edge_candidates
+
+        def counting(v, coords):
+            calls.append(v)
+            return candidates(v, coords)
+
+        monkeypatch.setattr(polytope, "_edge_candidates", counting)
+        assert smooth_certificate(sys.apolar) is None
+        assert calls == [min(sys.apolar)]
+        calls.clear()
+        cert = smoothness_check(sys.apolar)
+        assert cert.failure == (min(sys.apolar), "vertex has 5 edges, expected 3")
+        assert sorted(calls) == list(cert.model.vertices) == sorted(set(calls))
 
 
 class TestLatticePredicates:
