@@ -54,7 +54,7 @@ from .polytope import (
     SmoothnessCertificate,
     contains_all_simplex_vertices,
     hull_structure,
-    smooth_certificate,
+    is_smooth,
     smoothness_check,
     spanned_lattice,
     spans_full_lattice,

@@ -8,9 +8,9 @@ incrementally in exact integer arithmetic and cutting every branch that can
 no longer meet the quadric criterion (quadric space of dimension exactly
 one, unique quadric missing every generator) or the cardinality bound.  The
 minimal leaves are deduplicated by canonical form; smoothness is decided on
-the new orbits by polytope.smooth_certificate, which stops the hull walk at
-the first vertex that breaks the vertex criterion, and the WLP failure of
-each class is cross-validated through the multiplication map.
+the new orbits by polytope.is_smooth, a verdict without a certificate that
+stops the hull walk at the first vertex breaking the vertex criterion; the
+WLP failure of each class is cross-validated through the multiplication map.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ class ClassRecord:
     sys: MonomialSystem  # canonical representative
     partition: Optional[PartitionSpec]
     laplace_delta: int
-    smoothness: polytope.SmoothnessCertificate
 
 
 @dataclass(frozen=True)
@@ -81,9 +80,9 @@ def enumerate_minimal_smooth(n: int, budget: Optional[float] = None) -> Classifi
       lefschetz.cardinality_bound (S only grows).
     A leaf has no generator in the span, so it is minimal iff its rank is
     N - 1.  Minimal leaves are deduplicated by canonical_form, new orbits
-    go through polytope.smooth_certificate (None at the first vertex that
-    breaks the vertex criterion, else smoothness_check's full certificate)
-    and the smooth ones are certified.
+    go through polytope.is_smooth (smoothness_check's verdict, decided at
+    the first vertex that breaks the vertex criterion) and the smooth ones
+    are certified.
 
     stats:
     - digraphs: canonical digraphs searched (one whose S already holds
@@ -133,20 +132,21 @@ def enumerate_minimal_smooth(n: int, budget: Optional[float] = None) -> Classifi
     bound = lefschetz.cardinality_bound(n, 3)
     rejected = set()  # canonical encodings of the minimal orbits that are not smooth
     # A digraph's residuals are its parent's with one more mixed square in
-    # the span, and the parent comes first: keep those of the ancestors.
-    # (digraph, N - rank of its P rows, residual of each point outside its P)
-    ancestors = [((), len(lefschetz.quadric_pairs(n1)), rows)]
+    # the span, and in preorder the parent is the last digraph one arc shorter:
+    # levels[a] = (N - rank of its P rows, residual of each point outside its
+    # P) for the last digraph with a arcs.
+    levels = [(len(lefschetz.quadric_pairs(n1)), rows)]
     for graph in digraphs:
         if deadline is not None and time.monotonic() > deadline:
             raise exhausted(len(digraphs))
-        while ancestors[-1][0] != graph[:-1]:
-            ancestors.pop()
-        _, k, residual = ancestors[-1]
         if graph:
+            k, residual = levels[len(graph) - 1]
             square = graphs._mixed_square(*graph[-1], n1)
             k -= any(residual[square])
             residual = _add_to_span(residual, square)
-            ancestors.append((graph, k, residual))
+            levels[len(graph):] = [(k, residual)]
+        else:
+            k, residual = levels[0]
         stats["digraphs"] += 1
         mixed_s = list(filter(residual.__contains__, mixed))  # the P ones have left it
         if len(cubes) + len(mixed_s) > bound:
@@ -158,12 +158,11 @@ def enumerate_minimal_smooth(n: int, budget: Optional[float] = None) -> Classifi
             if key in survivors or key in rejected:
                 stats["duplicate_orbit"] += 1
                 continue
-            cert = polytope.smooth_certificate(rep.apolar)
-            if cert is None:
+            if not polytope.is_smooth(rep.apolar):
                 stats["smoothness_filtered"] += 1
                 rejected.add(key)
                 continue
-            survivors[key] = _certify_class(rep, cert)
+            survivors[key] = _certify_class(rep)
     return ClassificationResult(n, _finalize(survivors), stats)
 
 
@@ -284,7 +283,7 @@ def _finalize(survivors):
     return tuple(survivors[key] for key in sorted(survivors))
 
 
-def _certify_class(rep: MonomialSystem, cert) -> ClassRecord:
+def _certify_class(rep: MonomialSystem) -> ClassRecord:
     """Re-derive every verdict for an enumerated class and cross-validate."""
     wlp = lefschetz.fails_wlp_in_degree_dminus1(rep)
     minimality = lefschetz.is_minimal_togliatti(rep)
@@ -294,7 +293,7 @@ def _certify_class(rep: MonomialSystem, cert) -> ClassRecord:
             + " ".join(map(monomial_str, rep.generators))
         )
     delta = lefschetz.laplace_delta(rep.apolar, rep.n)
-    return ClassRecord(rep, member_partition(rep), delta, cert)
+    return ClassRecord(rep, member_partition(rep), delta)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Commands: check, enumerate, family, bound, verify.  Human-readable text by
 default, --json for the stable structured report.  Exit codes: 0 pass/clean,
-1 property failure, 2 usage error, 3 inconclusive (budget exhausted).
+1 property failure or stdout closed early, 2 usage error, 3 inconclusive
+(budget exhausted).
 """
 
 from __future__ import annotations
@@ -73,6 +74,7 @@ def _pretty(payload, indent=0):
     elif isinstance(payload, list):
         for value in payload:
             if isinstance(value, (dict, list)):
+                print(f"{pad}-")
                 _pretty(value, indent + 1)
             else:
                 print(f"{pad}- {value}")
@@ -108,7 +110,7 @@ def cmd_enumerate(args) -> int:
         "classes": [
             {
                 **classify.class_summary(rec),
-                "smooth": rec.smoothness.smooth,
+                "smooth": True,  # the search keeps only smooth orbits
                 "laplace_delta": rec.laplace_delta,
             }
             for rec in result.classes
@@ -223,12 +225,18 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        _sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
     except ParseError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_USAGE
     except TogliattiError as exc:
         print(f"error: {exc}", file=_sys.stderr)
+        return EXIT_FAIL
+    except BrokenPipeError:
+        # stdout was closed early: drop it, or flushing it at exit prints to stderr
+        _sys.stdout = None
         return EXIT_FAIL
 
 

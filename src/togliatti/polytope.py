@@ -12,8 +12,8 @@ the configuration.
 The last condition makes the vertex semigroups free; without it the variety
 is merely quasi-smooth (unimodular hull, non-normal chart).
 smoothness_check walks the whole hull and reports the lex-smallest violating
-vertex; smooth_certificate tests each vertex as the walk reaches it and
-stops at the first violating one.
+vertex; is_smooth, the search's verdict, tests each vertex as the walk
+reaches it and stops at the first violating one.
 """
 
 from __future__ import annotations
@@ -193,7 +193,11 @@ def hull_structure(points) -> LatticePolytopeModel:
     points = tuple(sorted(set(map(tuple, points))))
     base, lattice, coords = lattice_coordinates(points)
     walked = dict(_hull_walk(points, coords, lattice.dimension))
-    return _model(points, base, lattice, coords, walked)
+    edges = {(min(v, w), max(v, w)) for v, nbrs in walked.items() for w, _ in nbrs}
+    directions = {v: tuple(d for _, d in nbrs) for v, nbrs in walked.items()}
+    return LatticePolytopeModel(
+        points, base, lattice, coords, tuple(sorted(walked)), tuple(sorted(edges)), directions
+    )
 
 
 def _hull_walk(points, coords, m):
@@ -240,15 +244,6 @@ def _hull_walk(points, coords, m):
         yield v, tuple(sorted(neighbours))
 
 
-def _model(points, base, lattice, coords, walked) -> LatticePolytopeModel:
-    """The model of a complete walk, given as {vertex: neighbours}."""
-    edges = {(min(v, w), max(v, w)) for v, nbrs in walked.items() for w, _ in nbrs}
-    directions = {v: tuple(d for _, d in nbrs) for v, nbrs in walked.items()}
-    return LatticePolytopeModel(
-        points, base, lattice, coords, tuple(sorted(walked)), tuple(sorted(edges)), directions
-    )
-
-
 # ---------------------------------------------------------------------------
 # smoothness
 
@@ -288,26 +283,17 @@ def smoothness_check(points) -> SmoothnessCertificate:
     return SmoothnessCertificate(failure is None, m, records, failure, model)
 
 
-def smooth_certificate(points) -> Optional[SmoothnessCertificate]:
-    """smoothness_check(points) when the points are smooth, else None.
-
-    Each vertex is tested as the hull walk pops it, and the walk stops at
-    the first violating one.  That gives the same verdict: a smooth
-    polytope has no violating vertex, so stopping at any violating vertex
-    rejects only non-smooth ones.  When no vertex violates, the walk is
-    complete and the certificate built from it is the full one.
-    """
+def is_smooth(points) -> bool:
+    """smoothness_check(points).smooth, with each vertex tested as the hull
+    walk pops it and the walk stopped at the first violating one, which
+    only a non-smooth polytope has."""
     points = tuple(sorted(set(map(tuple, points))))
-    base, lattice, coords = lattice_coordinates(points)
+    _, lattice, coords = lattice_coordinates(points)
     m, point_set = lattice.dimension, set(points)
-    walked, records = {}, {}
-    for v, neighbours in _hull_walk(points, coords, m):
-        r = _record(v, tuple(d for _, d in neighbours), m)
-        if _violation(r, m, lattice.basis, point_set) is not None:
-            return None
-        walked[v], records[v] = neighbours, r
-    model = _model(points, base, lattice, coords, walked)
-    return SmoothnessCertificate(True, m, tuple(map(records.get, model.vertices)), None, model)
+    return not any(
+        _violation(_record(v, tuple(d for _, d in neighbours), m), m, lattice.basis, point_set)
+        for v, neighbours in _hull_walk(points, coords, m)
+    )
 
 
 def _record(v, dirs, m) -> VertexRecord:

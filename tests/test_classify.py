@@ -171,17 +171,17 @@ class TestMatchesBruteForceOracle:
     def test_same_minimal_orbits(self, n, monkeypatch):
         # the orbit-first search finds the subset search's smooth classes,
         # and sends the same non-smooth minimal orbits to the smoothness
-        # decision (smooth_certificate; smooth means a certificate, not None)
+        # decision (polytope.is_smooth)
         smooth, non_smooth, old_stats = bruteforce_minimal_orbits(n)
         verdicts = {}
-        check = polytope.smooth_certificate
+        check = polytope.is_smooth
 
         def recording_check(points):
-            cert = check(points)
-            verdicts[MonomialSystem.from_apolar(n, 3, points).encoding()] = cert is not None
-            return cert
+            verdict = check(points)
+            verdicts[MonomialSystem.from_apolar(n, 3, points).encoding()] = verdict
+            return verdict
 
-        monkeypatch.setattr(polytope, "smooth_certificate", recording_check)
+        monkeypatch.setattr(polytope, "is_smooth", recording_check)
         result = enumerate_minimal_smooth(n)
         assert {rec.sys.encoding() for rec in result.classes} == smooth
         assert {key for key, ok in verdicts.items() if ok} == smooth
@@ -229,7 +229,7 @@ class TestCanonicalDigraphs:
 
 class TestStructuralInvariants:
     def test_enumerated_classes_satisfy_propositions(self, minimal_smooth_n2_n3):
-        from togliatti import contains_all_simplex_vertices, spans_full_lattice
+        from togliatti import contains_all_simplex_vertices, smoothness_check, spans_full_lattice
         from togliatti.graphs import build_gp
 
         for n in (2, 3):
@@ -239,6 +239,8 @@ class TestStructuralInvariants:
                 assert build_gp(rec.sys).is_symmetric()
                 assert contains_all_simplex_vertices(rec.sys.apolar)
                 assert spans_full_lattice(rec.sys.apolar)
+                # the search kept only the verdict; the full certificate agrees
+                assert smoothness_check(rec.sys.apolar).smooth
                 # no-return filter: v_i -> v_j with v_j -> v_k -> v_j
                 # forces the reverse edge v_j -> v_i
                 gp = build_gp(rec.sys)

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -248,6 +249,27 @@ class TestVerify:
         assert code == EXIT_PASS
         assert "x0*x1*x2" in out
         assert err == ""
+
+    def test_n3_text_output_marks_each_class(self, capsys):
+        code, out, _ = run_cli(["verify", "--n", "3"], capsys)
+        assert code == EXIT_PASS
+        lines = out.splitlines()
+        start = lines.index("classes:") + 1
+        end = next(i for i in range(start, len(lines)) if not lines[i].startswith(" "))
+        # one bare marker per class; the scalars inside keep "- value"
+        assert [line for line in lines[start:end] if line.strip() == "-"] == ["  -"] * 3
+
+    def test_closed_stdout_exits_one_silently(self, monkeypatch, capsys):
+        class ClosedPipe:
+            def write(self, *args):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            flush = write
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["verify", "--n", "2"]) == EXIT_FAIL
+        assert sys.stdout is None  # nothing is left to flush at exit
+        assert capsys.readouterr().err == ""
 
     def test_budget_inconclusive(self, monkeypatch, capsys):
         argv = ["verify", "--n", "3", "--budget", "0.0", "--json"]

@@ -11,8 +11,8 @@ from togliatti import (
     InvalidArgumentError,
     PreconditionError,
     hull_structure,
+    is_smooth,
     lattice_points_simplex,
-    smooth_certificate,
     smoothness_check,
     spanned_lattice,
     spans_full_lattice,
@@ -351,17 +351,12 @@ class TestSmoothness:
 
 
 class TestSmoothCertificate:
-    """smooth_certificate is smoothness_check's verdict, reached by a walk
+    """is_smooth is the smoothness certificate's verdict, reached by a walk
     that stops at the first violating vertex."""
 
     @staticmethod
     def assert_equivalent(points):
-        full = smoothness_check(points)
-        early = smooth_certificate(points)
-        if full.smooth:
-            assert early == full, points
-        else:
-            assert early is None, points
+        assert is_smooth(points) == smoothness_check(points).smooth, points
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_bruteforce_minimal_orbits(self, n):
@@ -373,14 +368,14 @@ class TestSmoothCertificate:
     def test_fixtures(self, p12, p15, counterex3, brenner_kaid):
         for sys in (p12, p15, counterex3, brenner_kaid):
             self.assert_equivalent(sys.apolar)
-        assert smooth_certificate(p12.apolar) is None
-        assert smooth_certificate(p15.apolar) == smoothness_check(p15.apolar)
+        assert not is_smooth(p12.apolar)
+        assert is_smooth(p15.apolar)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_family_members(self, n):
         for spec in valid_partitions(n):
             points = family_system(spec).sys.apolar
-            assert smooth_certificate(points) == smoothness_check(points), spec
+            assert is_smooth(points) and smoothness_check(points).smooth, spec
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_random_subsets_of_3_delta(self, n):
@@ -390,7 +385,7 @@ class TestSmoothCertificate:
         for _ in range(300):
             pts = rng.sample(points, rng.randint(1, len(points)))
             self.assert_equivalent(pts)
-            verdicts.add(smooth_certificate(pts) is not None)
+            verdicts.add(is_smooth(pts))
         assert verdicts == {True, False}
 
     def test_stops_at_the_first_walked_vertex(self, monkeypatch):
@@ -407,7 +402,7 @@ class TestSmoothCertificate:
             return candidates(v, coords)
 
         monkeypatch.setattr(polytope, "_edge_candidates", counting)
-        assert smooth_certificate(sys.apolar) is None
+        assert not is_smooth(sys.apolar)
         assert calls == [min(sys.apolar)]
         calls.clear()
         cert = smoothness_check(sys.apolar)
