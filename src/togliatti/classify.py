@@ -70,8 +70,9 @@ def enumerate_minimal_smooth(n: int, budget: Optional[float] = None) -> Classifi
 
     Under each digraph a DFS puts the squarefree points into P or S in
     turn, keeping every other point's row reduced modulo the span of the P
-    rows (_reduce).  P only grows along a branch, and so does the span;
-    hence no prune cuts a minimal system:
+    rows, in the quotient coordinates (_reduce), so a residual's length is
+    N - rank, the dimension of the quadric space.  P only grows along a
+    branch, and so does the span; hence no prune cuts a minimal system:
     - a point already in the span is forced into P (in S it would stay in
       the span);
     - a branch ends when a generator enters the span (it stays there), when
@@ -79,10 +80,10 @@ def enumerate_minimal_smooth(n: int, budget: Optional[float] = None) -> Classifi
       N - 1 (each undecided point adds at most one), or when |S| exceeds
       lefschetz.cardinality_bound (S only grows).
     A leaf has no generator in the span, so it is minimal iff its rank is
-    N - 1.  Minimal leaves are deduplicated by canonical_form, new orbits
-    go through polytope.is_smooth (smoothness_check's verdict, decided at
-    the first vertex that breaks the vertex criterion) and the smooth ones
-    are certified.
+    N - 1.  Minimal leaves are deduplicated by canonical_form in one orbit
+    map, new orbits go through polytope.is_smooth (smoothness_check's
+    verdict, decided at the first vertex that breaks the vertex criterion)
+    and the smooth ones are certified.
 
     stats:
     - digraphs: canonical digraphs searched (one whose S already holds
@@ -109,13 +110,13 @@ def enumerate_minimal_smooth(n: int, budget: Optional[float] = None) -> Classifi
          "smoothness_filtered", "digraphs", "nodes"),
         0,
     )
-    survivors = {}
+    orbits = {}  # canonical encoding -> ClassRecord, or None when not smooth
 
     def exhausted(total):
         return BudgetExhaustedError(
             f"budget of {budget}s exhausted after {stats['digraphs']} of "
             f"{'?' if total is None else total} digraphs",
-            partial=ClassificationResult(n, _finalize(survivors), dict(stats)),
+            partial=ClassificationResult(n, _finalize(orbits), dict(stats)),
             progress={"digraphs_done": stats["digraphs"], "digraphs_total": total},
         )
 
@@ -130,45 +131,37 @@ def enumerate_minimal_smooth(n: int, budget: Optional[float] = None) -> Classifi
     mixed = [p for p in points if max(p) == 2]
     squarefree = [p for p in points if max(p) == 1]
     bound = lefschetz.cardinality_bound(n, 3)
-    rejected = set()  # canonical encodings of the minimal orbits that are not smooth
     # A digraph's residuals are its parent's with one more mixed square in
     # the span, and in preorder the parent is the last digraph one arc shorter:
-    # levels[a] = (N - rank of its P rows, residual of each point outside its
-    # P) for the last digraph with a arcs.
-    levels = [(len(lefschetz.quadric_pairs(n1)), rows)]
+    # levels[a] maps each point outside P to its residual, for the last
+    # digraph with a arcs.
+    levels = [rows]
     for graph in digraphs:
         if deadline is not None and time.monotonic() > deadline:
             raise exhausted(len(digraphs))
-        if graph:
-            k, residual = levels[len(graph) - 1]
-            square = graphs._mixed_square(*graph[-1], n1)
-            k -= any(residual[square])
-            residual = _add_to_span(residual, square)
-            levels[len(graph):] = [(k, residual)]
-        else:
-            k, residual = levels[0]
+        a = len(graph)
+        if a:
+            levels[a:] = [_add_to_span(levels[a - 1], graphs._mixed_square(*graph[-1], n1))]
+        residual = levels[a]
         stats["digraphs"] += 1
         mixed_s = list(filter(residual.__contains__, mixed))  # the P ones have left it
         if len(cubes) + len(mixed_s) > bound:
             continue
-        for extra in _squarefree_leaves(k, residual, cubes + mixed_s, squarefree, bound, stats):
+        for extra in _squarefree_leaves(residual, cubes + mixed_s, squarefree, bound, stats):
             apolar = [graphs._mixed_square(i, j, n1) for i, j in graph] + list(extra)
             rep = canonical_form(MonomialSystem.from_apolar(n, 3, apolar))
             key = rep.encoding()
-            if key in survivors or key in rejected:
+            if key in orbits:
                 stats["duplicate_orbit"] += 1
                 continue
-            if not polytope.is_smooth(rep.apolar):
-                stats["smoothness_filtered"] += 1
-                rejected.add(key)
-                continue
-            survivors[key] = _certify_class(rep)
-    return ClassificationResult(n, _finalize(survivors), stats)
+            orbits[key] = _certify_class(rep) if polytope.is_smooth(rep.apolar) else None
+            stats["smoothness_filtered"] += orbits[key] is None
+    return ClassificationResult(n, _finalize(orbits), stats)
 
 
 def _canonical_digraphs(n1: int, deadline: Optional[float]) -> Optional[list]:
     """One digraph per S_{n1} orbit, as the sorted tuple of its arcs (i, j);
-    None once the deadline passes.
+    None once the deadline passes, read per arc row and per digraph.
 
     A digraph is canonical when its sorted arc tuple is lexicographically
     smallest among its relabellings.  With the arcs indexed in lex order,
@@ -188,8 +181,11 @@ def _canonical_digraphs(n1: int, deadline: Optional[float]) -> Optional[list]:
     top = len(arcs) - 1
     index = {arc: a for a, arc in enumerate(arcs)}
     perms = list(itertools.permutations(range(n1)))  # perms[0] is the identity
-    # bit[a][k]: the bit of arc a under the k-th relabelling
-    bit = [[1 << (top - index[p[i], p[j]]) for p in perms] for i, j in arcs]
+    bit = []  # bit[a][k]: the bit of arc a under the k-th relabelling
+    for i, j in arcs:
+        if deadline is not None and time.monotonic() > deadline:
+            return None
+        bit.append([1 << (top - index[p[i], p[j]]) for p in perms])
     found = []
     for graph in _orderly_extensions((), [0] * len(perms), bit):
         if deadline is not None and time.monotonic() > deadline:
@@ -210,13 +206,14 @@ def _orderly_extensions(graph, images, bit):
 
 def _reduce(vectors, e):
     """Yield each primitive vector modulo the span grown by the nonzero
-    residual e: e's first nonzero column is eliminated from it and the
-    result made primitive (linalg._primitive).  A vector that is zero in
-    that column is already reduced and comes back as it is."""
+    residual e: e's first nonzero column is eliminated from it, dropped,
+    and the result made primitive (linalg._primitive).  A vector that is
+    zero there only loses that zero, so it stays primitive."""
     pv = next(filter(None, e))
     j = e.index(pv)
+    e = e[:j] + e[j + 1:]
     for v in vectors:
-        f = v[j]
+        f, v = v[j], v[:j] + v[j + 1:]
         yield linalg._primitive([pv * a - f * b for a, b in zip(v, e)]) if f else v
 
 
@@ -229,29 +226,31 @@ def _add_to_span(residual: dict, point) -> dict:
     return residual
 
 
-def _squarefree_leaves(k, residual: dict, generators, squarefree, bound, stats) -> list:
+def _squarefree_leaves(residual: dict, generators, squarefree, bound, stats) -> list:
     """The minimal completions of one digraph: tuples of the squarefree
     points that join P.
 
-    k is N minus the rank of the digraph's P rows, the dimension of its
-    quadric space.  residual holds each point outside P modulo the span of
-    those rows, as a primitive vector; generators are the points already in
-    S.  Adding a point with residual e to the span brings a generator in
-    exactly when the generator's residual is a multiple of e, that is equal
-    to e, since both are primitive with a positive leading entry.  The
-    prunes and the counters are enumerate_minimal_smooth's.
+    residual holds each point outside P modulo the span of the digraph's P
+    rows, as a primitive vector of length k, the dimension of the quadric
+    space (_reduce); generators are the points already in S, the cubes
+    among them.  Adding a point with residual e to the span brings a
+    generator in exactly when the generator's residual is a multiple of e,
+    that is equal to e, since both are primitive with a positive leading
+    entry.  The prunes and the counters are enumerate_minimal_smooth's.
     """
     leaves = []
     gens = set(map(residual.get, generators))
+    k = len(next(iter(gens)))
     if k == 0 or not all(map(any, gens)):
         stats["candidates"] += 1
         stats["quadric_filtered" if k == 0 else "minimality_filtered"] += 1
         return leaves
-    # a node: (k, the generators' residuals, the residuals of the undecided
+    # a node: (the generators' residuals, the residuals of the undecided
     # points, the last len(free) of squarefree, |S|, the squarefree points in P)
-    stack = [(k, gens, list(map(residual.get, squarefree)), len(generators), ())]
+    stack = [(gens, list(map(residual.get, squarefree)), len(generators), ())]
     while stack:
-        k, gens, free, size, chosen = stack.pop()
+        gens, free, size, chosen = stack.pop()
+        k = len(next(iter(gens)))
         stats["nodes"] += 1
         ended = None
         if k - 1 > len(free):
@@ -261,16 +260,16 @@ def _squarefree_leaves(k, residual: dict, generators, squarefree, bound, stats) 
         else:
             point, e, rest = squarefree[-len(free)], free[0], free[1:]
             if not any(e):  # forced: in the span already
-                stack.append((k, gens, rest, size, chosen + (point,)))
+                stack.append((gens, rest, size, chosen + (point,)))
                 continue
             if size < bound:
-                stack.append((k, gens | {e}, rest, size + 1, chosen))
+                stack.append((gens | {e}, rest, size + 1, chosen))
             if k == 1:  # the rank would reach N
                 ended = "quadric_filtered"
             elif e in gens:
                 ended = "minimality_filtered"
             else:
-                stack.append((k - 1, set(_reduce(gens, e)), list(_reduce(rest, e)),
+                stack.append((set(_reduce(gens, e)), list(_reduce(rest, e)),
                               size, chosen + (point,)))
                 continue
         stats["candidates"] += 1
@@ -279,8 +278,8 @@ def _squarefree_leaves(k, residual: dict, generators, squarefree, bound, stats) 
     return leaves
 
 
-def _finalize(survivors):
-    return tuple(survivors[key] for key in sorted(survivors))
+def _finalize(orbits):
+    return tuple(orbits[key] for key in sorted(orbits) if orbits[key] is not None)
 
 
 def _certify_class(rep: MonomialSystem) -> ClassRecord:
@@ -373,10 +372,7 @@ def check_command(sys: MonomialSystem, verbose: bool = False) -> dict:
 
 
 def _poly_text(poly):
-    terms = []
-    for mono in sorted(poly):
-        terms.append(f"{poly[mono]}*{monomial_str(mono)}")
-    return " + ".join(terms)
+    return " + ".join(f"{poly[mono]}*{monomial_str(mono)}" for mono in sorted(poly))
 
 
 def _minimality_text(minimality):

@@ -15,7 +15,7 @@ import sys as _sys
 
 from . import classify, family as family_mod
 from .errors import BudgetExhaustedError, ParseError, TogliattiError
-from .monomials import PartitionSpec, parse_system, serialize
+from .monomials import PartitionSpec, _tokens, parse_system, serialize
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -24,12 +24,13 @@ EXIT_INCONCLUSIVE = 3
 
 
 def _infer_n(text: str) -> int:
-    """Largest variable index (or tuple width) appearing in the input."""
+    """Largest variable index (or tuple width) among parse_system's tokens."""
     best = -1
-    for m in re.finditer(r"\bx(\d+)", text):
-        best = max(best, int(m.group(1)))
-    for m in re.finditer(r"\(([^()]*)\)", text):
-        best = max(best, m.group(1).count(","))
+    for _, token in _tokens(text):
+        for m in re.finditer(r"\bx(\d+)", token):
+            best = max(best, int(m.group(1)))
+        for m in re.finditer(r"\(([^()]*)\)", token):
+            best = max(best, m.group(1).count(","))
     if best < 1:
         raise ParseError("cannot infer n from input; pass --n")
     return best

@@ -222,36 +222,37 @@ def canonical_form(sys: MonomialSystem) -> MonomialSystem:
     return MonomialSystem.from_generators(sys.n, sys.d, next(iter(kept)))
 
 
-def parse_system(text: str, n: int, d: int) -> MonomialSystem:
-    """Parse the text format: header 'S:' or 'P:' then monomial tokens.
-
-    Tokens are whitespace separated; '#' starts a comment.  The set not given
-    is filled in as the complement inside d*Delta.
-    """
-    header = None
-    monos = []
-    seen = {}
+def _tokens(text: str):
+    """Yield (line number, token) for the text format: tokens are whitespace
+    separated or raw tuples, and '#' starts a comment."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        for token in re.findall(r"\([^()]*\)|\S+", line):
-            if header is None:
-                if token in ("S:", "P:"):
-                    header = token[0]
-                    continue
-                raise ParseError(f"expected header 'S:' or 'P:', got {token!r}", lineno)
-            mono = parse_monomial(token, n, d, lineno)
-            if mono in seen:
-                raise ParseError(
-                    f"duplicate monomial {token!r} (first seen on line {seen[mono]})",
-                    lineno,
-                )
-            seen[mono] = lineno
-            monos.append(mono)
+        for token in re.findall(r"\([^()]*\)|\S+", raw.split("#", 1)[0]):
+            yield lineno, token
+
+
+def parse_system(text: str, n: int, d: int) -> MonomialSystem:
+    """Parse the text format (_tokens): header 'S:' or 'P:' then monomials.
+    The set not given is filled in as the complement inside d*Delta."""
+    header = None
+    seen = {}  # monomial -> line, in input order
+    for lineno, token in _tokens(text):
+        if header is None:
+            if token in ("S:", "P:"):
+                header = token[0]
+                continue
+            raise ParseError(f"expected header 'S:' or 'P:', got {token!r}", lineno)
+        mono = parse_monomial(token, n, d, lineno)
+        if mono in seen:
+            raise ParseError(
+                f"duplicate monomial {token!r} (first seen on line {seen[mono]})",
+                lineno,
+            )
+        seen[mono] = lineno
     if header is None:
         raise ParseError("missing header 'S:' or 'P:'", 1)
     if header == "S":
-        return MonomialSystem.from_generators(n, d, monos)
-    return MonomialSystem.from_apolar(n, d, monos)
+        return MonomialSystem.from_generators(n, d, list(seen))
+    return MonomialSystem.from_apolar(n, d, list(seen))
 
 
 def serialize(sys: MonomialSystem, which: str = "S") -> str:

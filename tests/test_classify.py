@@ -1,6 +1,8 @@
 """Enumeration, the full-report checker, and theorem verification."""
 
 import itertools
+import random
+import time
 import types
 
 import pytest
@@ -13,9 +15,15 @@ from togliatti import (
     enumerate_minimal_smooth,
     verify_theorem,
 )
-from togliatti import classify, lefschetz, polytope
+from togliatti import classify, graphs, lefschetz, linalg, polytope
 from togliatti.family import family_system
-from togliatti.monomials import MonomialSystem, PartitionSpec, canonical_form, parse_system
+from togliatti.monomials import (
+    MonomialSystem,
+    PartitionSpec,
+    canonical_form,
+    lattice_points_simplex,
+    parse_system,
+)
 
 import conftest
 from oracles import bruteforce_minimal_orbits, minimality_by_subset_definition
@@ -162,8 +170,20 @@ class TestEnumerateN2:
         assert 0 < stats["digraphs"] < 218
         assert 0 < stats["nodes"] and 0 < stats["candidates"]
         assert f"after {stats['digraphs']} of 218 digraphs" in str(err.value)
+        # the orbit map keeps the non-smooth orbits as None: none leaks out
+        assert stats["smoothness_filtered"] > 0
+        assert all(isinstance(rec, classify.ClassRecord) for rec in err.value.partial.classes)
         full = enumerate_minimal_smooth(3).stats
         assert all(stats[key] <= full[key] for key in STATS_KEYS)
+
+    def test_budget_checked_while_relabelling_table_is_built(self):
+        # at n = 8 the table holds 9! * 72 ints: a zero budget must stop
+        # before it is built, not after
+        start = time.monotonic()
+        with pytest.raises(BudgetExhaustedError) as err:
+            enumerate_minimal_smooth(8, budget=0.0)
+        assert time.monotonic() - start < 1.0
+        assert err.value.progress == {"digraphs_done": 0, "digraphs_total": None}
 
 
 class TestMatchesBruteForceOracle:
@@ -225,6 +245,48 @@ class TestCanonicalDigraphs:
         # preorder: each digraph's parent comes before it
         position = {graph: k for k, graph in enumerate(found)}
         assert all(position[graph[:-1]] < position[graph] for graph in found if graph)
+
+
+class TestResiduals:
+    """The search's residuals (classify._add_to_span, _reduce) against the
+    ranks of the quadric rows, computed afresh by linalg.rank."""
+
+    @staticmethod
+    def assert_residuals_match_ranks(apolar, n):
+        ncols = len(lefschetz.quadric_pairs(n + 1))
+        row = lefschetz.quadric_evaluation_row
+        residual = {p: linalg._primitive(row(p)) for p in lattice_points_simplex(n, 3)}
+        for p in apolar:
+            residual = classify._add_to_span(residual, p)
+        assert set(residual) == set(lattice_points_simplex(n, 3)) - set(apolar)
+        k = len(lefschetz.quadric_space(apolar, n))
+        assert all(len(v) == k for v in residual.values())
+        base = [row(p) for p in apolar]
+        rank = linalg.rank(base, ncols)
+        nonzero = []
+        for p, v in residual.items():
+            # zero iff the row is in the span already
+            assert (not any(v)) == (linalg.rank(base + [row(p)], ncols) == rank)
+            if any(v):
+                nonzero.append(p)
+        for p, q in itertools.combinations(nonzero, 2):
+            # equal iff the two rows add one dimension together
+            rises = linalg.rank(base + [row(p), row(q)], ncols) - rank
+            assert (residual[p] == residual[q]) == (rises == 1)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_random_apolar_sets(self, n):
+        # one apolar set of each size up to N, so k runs from N down to 0
+        rng = random.Random(n)
+        points = lattice_points_simplex(n, 3)
+        for size in range(len(lefschetz.quadric_pairs(n + 1)) + 1):
+            self.assert_residuals_match_ranks(rng.sample(points, size), n)
+
+    @pytest.mark.parametrize("n1", [3, 4])
+    def test_canonical_digraphs(self, n1):
+        for graph in classify._canonical_digraphs(n1, None):
+            apolar = [graphs._mixed_square(i, j, n1) for i, j in graph]
+            self.assert_residuals_match_ranks(apolar, n1 - 1)
 
 
 class TestStructuralInvariants:

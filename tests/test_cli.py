@@ -126,6 +126,17 @@ class TestCheck:
         assert code == EXIT_PASS
         assert json.loads(out)["n"] == 2
 
+    @pytest.mark.parametrize("text", [
+        "S: x0^3 x1^3 x2^3 x0*x1*x2  # compare with x5\n",
+        "# (x, y, z, w)\nS: (3,0,0) (0,3,0) (0,0,3) (1,1,1)\n",
+    ])
+    def test_n_not_inferred_from_comments(self, text, tmp_path, capsys):
+        path = tmp_path / "commented.txt"
+        path.write_text(text)
+        code, out, _ = run_cli(["check", str(path), "--json"], capsys)
+        assert code == EXIT_PASS
+        assert json.loads(out)["n"] == 2
+
     def test_internal_error_exits_one_without_traceback(self, bk_file, monkeypatch, capsys):
         restricted = lefschetz.restricted_dependence
         monkeypatch.setattr(lefschetz, "restricted_dependence", lambda sys: not restricted(sys))

@@ -6,7 +6,7 @@ Fraction phase-1 simplex); any change in a kernel witness, a quadric, a
 vertex or an edge shows up here as a byte difference.
 
 verify_n4.json is the report of ``togliatti verify --n 4 --json`` (about
-12 s on a 2-vCPU box), too slow to re-run here: its classes are re-checked
+11 s on a 2-vCPU box), too slow to re-run here: its classes are re-checked
 one by one.
 """
 
